@@ -62,7 +62,6 @@
 //! half-abandoned operation. See `DESIGN.md` §13 for the failure model.
 
 use crate::plan::UpdatePlan;
-use dc_ett::{DynamicForest, EulerForest};
 use dc_faults::InjectionPoint;
 use dc_graph::Edge;
 use dc_sync::{waitstats, IntakeArray, RawSpinLock, SlotPoll, WaitLadder, WaitPolicy, WaitStep};
@@ -135,9 +134,8 @@ const PARALLEL_QUERY_CHUNK: usize = 256;
 /// must observe the update stream. The hook receives the structure (already
 /// reflecting the batch; write-quiescent for the duration of the call — the
 /// durable layer serializes checkpoints through it) and the compacted
-/// `adds` / `removes` slices that were applied. Generic over the forest
-/// backend, defaulting to the ETT like the engine itself.
-pub type CommitHook<F = EulerForest> = Box<dyn Fn(&Hdt<F>, &[Edge], &[Edge]) + Send + Sync>;
+/// `adds` / `removes` slices that were applied.
+pub type CommitHook = Box<dyn Fn(&Hdt, &[Edge], &[Edge]) + Send + Sync>;
 
 /// Operation counters of a [`BatchEngine`].
 #[derive(Debug, Default)]
@@ -215,16 +213,15 @@ struct QueryScratch {
     pair_index: HashMap<(u32, u32), usize>,
 }
 
-/// The batch-parallel dynamic connectivity engine, generic over the
-/// [`DynamicForest`] backend (ETT by default). See the module docs.
-pub struct BatchEngine<F: DynamicForest = EulerForest> {
-    hdt: Hdt<F>,
+/// The batch-parallel dynamic connectivity engine. See the module docs.
+pub struct BatchEngine {
+    hdt: Hdt,
     intake: IntakeArray<BatchOp, Result<(), EngineError>>,
     leader: RawSpinLock,
     scratch: UnsafeCell<Scratch>,
     counters: EngineCounters,
     query_threads: usize,
-    commit_hook: Option<CommitHook<F>>,
+    commit_hook: Option<CommitHook>,
     /// `STATE_RUNNING` until a leader panics, then `STATE_POISONED` forever.
     state: AtomicU8,
     /// The first poisoning panic's message (later panics don't overwrite).
@@ -239,52 +236,34 @@ pub struct BatchEngine<F: DynamicForest = EulerForest> {
 // takes it blocking, the adapter's batch loop via try_lock); everything else
 // is internally synchronized (`Hdt` is Sync, the intake array orders its
 // slot accesses through the state atomics).
-unsafe impl<F: DynamicForest> Sync for BatchEngine<F> {}
-unsafe impl<F: DynamicForest> Send for BatchEngine<F> {}
+unsafe impl Sync for BatchEngine {}
+unsafe impl Send for BatchEngine {}
 
 impl BatchEngine {
-    /// Creates an ETT-backed engine over `n` vertices with the default
-    /// intake capacity and one query-fan-out thread per host hardware
-    /// thread. (Pinned to the default backend so `BatchEngine::new(8)`
-    /// keeps inferring; use [`BatchEngine::new_on`] for other backends.)
+    /// Creates an engine over `n` vertices with the default intake capacity
+    /// and one query-fan-out thread per host hardware thread.
     pub fn new(n: usize) -> Self {
-        Self::new_on(n)
-    }
-
-    /// Creates an ETT-backed engine with explicit intake capacity (max
-    /// participating threads) and bulk-query fan-out width (`1` answers
-    /// every query run inline).
-    pub fn with_options(n: usize, intake_capacity: usize, query_threads: usize) -> Self {
-        Self::with_options_on(n, intake_capacity, query_threads)
-    }
-}
-
-impl<F: DynamicForest> BatchEngine<F> {
-    /// Creates an engine over `n` vertices on backend `F` with the default
-    /// intake capacity and one query-fan-out thread per host hardware
-    /// thread.
-    pub fn new_on(n: usize) -> Self {
         let threads = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1);
-        Self::with_options_on(
+        Self::with_options(
             n,
             IntakeArray::<BatchOp, Result<(), EngineError>>::DEFAULT_SLOTS,
             threads,
         )
     }
 
-    /// Creates an engine on backend `F` with explicit intake capacity (max
-    /// participating threads) and bulk-query fan-out width (`1` answers
-    /// every query run inline).
-    pub fn with_options_on(n: usize, intake_capacity: usize, query_threads: usize) -> Self {
-        Self::from_hdt(Hdt::new_on(n), intake_capacity, query_threads)
+    /// Creates an engine with explicit intake capacity (max participating
+    /// threads) and bulk-query fan-out width (`1` answers every query run
+    /// inline).
+    pub fn with_options(n: usize, intake_capacity: usize, query_threads: usize) -> Self {
+        Self::from_hdt(Hdt::new(n), intake_capacity, query_threads)
     }
 
     /// Wraps an engine around an existing structure — the recovery door:
     /// `dc_durable` rebuilds an [`Hdt`] from a checkpoint plus the WAL tail
     /// and then hands it to the engine, which becomes its single writer.
-    pub fn from_hdt(hdt: Hdt<F>, intake_capacity: usize, query_threads: usize) -> Self {
+    pub fn from_hdt(hdt: Hdt, intake_capacity: usize, query_threads: usize) -> Self {
         BatchEngine {
             hdt,
             intake: IntakeArray::with_capacity(intake_capacity),
@@ -311,12 +290,12 @@ impl<F: DynamicForest> BatchEngine<F> {
     /// Installs the commit hook (see [`CommitHook`]). Takes `&mut self` on
     /// purpose: the hook must be in place before the engine is shared, so
     /// no batch can ever slip past the log unobserved.
-    pub fn set_commit_hook(&mut self, hook: CommitHook<F>) {
+    pub fn set_commit_hook(&mut self, hook: CommitHook) {
         self.commit_hook = Some(hook);
     }
 
     /// The underlying structure (tests, statistics, lock-free reads).
-    pub fn hdt(&self) -> &Hdt<F> {
+    pub fn hdt(&self) -> &Hdt {
         &self.hdt
     }
 
@@ -325,7 +304,7 @@ impl<F: DynamicForest> BatchEngine<F> {
     /// readers proceed). This is the manual-checkpoint door used by
     /// `dc_durable` — and any other caller that needs a consistent walk of
     /// the live structure.
-    pub fn with_exclusive<R>(&self, f: impl FnOnce(&Hdt<F>) -> R) -> R {
+    pub fn with_exclusive<R>(&self, f: impl FnOnce(&Hdt) -> R) -> R {
         self.leader.lock();
         let result = f(&self.hdt);
         self.leader.unlock();
@@ -703,7 +682,7 @@ impl<F: DynamicForest> BatchEngine<F> {
     }
 }
 
-impl<F: DynamicForest> BatchEngine<F> {
+impl BatchEngine {
     // ----- the typed (fallible) doors ----------------------------------------
 
     /// [`DynamicConnectivity::add_edge`] with engine faults surfaced as
@@ -810,7 +789,7 @@ impl<F: DynamicForest> BatchEngine<F> {
 }
 
 impl BatchEngine {
-    /// Spawns a [`dc_faults::Watchdog`] wired to this engine (ETT backend):
+    /// Spawns a [`dc_faults::Watchdog`] wired to this engine:
     ///
     /// * **`batch-leader`** — active while the leader lock is held; progress
     ///   is the batch count. A leadership that holds the lock without
@@ -822,8 +801,7 @@ impl BatchEngine {
     ///   (a parked reader blocking every grace period) flags the same way.
     ///
     /// The handle stops and joins the thread on drop. Purely observational:
-    /// the watchdog never intervenes. (Other backends: build a
-    /// [`dc_faults::Watchdog`] by hand from whatever probes fit.)
+    /// the watchdog never intervenes.
     pub fn spawn_watchdog(
         self: &Arc<Self>,
         interval: Duration,
@@ -854,7 +832,7 @@ impl BatchEngine {
     }
 }
 
-impl<F: DynamicForest> DynamicConnectivity for BatchEngine<F> {
+impl DynamicConnectivity for BatchEngine {
     fn add_edge(&self, u: u32, v: u32) {
         if let Err(e) = self.try_add_edge(u, v) {
             panic!("BatchEngine::add_edge: {e} (use the try_* doors to handle engine faults)");
@@ -886,7 +864,7 @@ impl<F: DynamicForest> DynamicConnectivity for BatchEngine<F> {
     }
 }
 
-impl<F: DynamicForest> BatchConnectivity for BatchEngine<F> {
+impl BatchConnectivity for BatchEngine {
     fn apply_batch(&self, ops: &[BatchOp]) -> Vec<QueryResult> {
         match self.try_apply_batch(ops) {
             Ok(results) => results,
@@ -1035,29 +1013,6 @@ mod tests {
                 }
             });
         });
-        engine.hdt().validate();
-    }
-
-    #[test]
-    fn lct_backed_engine_matches_sequential_reference() {
-        let engine = BatchEngine::<dc_ett::LctForest>::new_on(6);
-        let oracle = RecomputeOracle::new(6);
-        let ops = vec![
-            BatchOp::Query(0, 2),
-            BatchOp::Add(0, 1),
-            BatchOp::Add(1, 2),
-            BatchOp::Query(0, 2),
-            BatchOp::Remove(0, 1),
-            BatchOp::Query(0, 2),
-            BatchOp::Add(0, 1),
-            BatchOp::Remove(1, 2),
-            BatchOp::Query(0, 1),
-            BatchOp::Query(0, 2),
-        ];
-        assert_eq!(
-            engine.apply_batch(&ops),
-            sequential_apply_batch(&oracle, &ops)
-        );
         engine.hdt().validate();
     }
 

@@ -65,14 +65,10 @@ pub use dc_sync::WaitPolicy;
 pub use dynconn::{BatchConnectivity, BatchOp, DynamicConnectivity, QueryResult};
 
 /// Registers [`BatchEngine`] as `Variant::BatchEngine` (number 14) in the
-/// core variant registry — once per forest backend, so registry-driven
-/// harnesses (benches, examples, differential tests) can build it by name
-/// on either the ETT or the LCT via `Variant::build_with`. Idempotent.
+/// core variant registry, so registry-driven harnesses (benches, examples,
+/// differential tests) can build it by name. Idempotent.
 pub fn register_variant() {
     dynconn::variants::register_batch_builder(|n| Box::new(BatchEngine::new(n)));
-    dynconn::variants::register_batch_builder_lct(|n| {
-        Box::new(BatchEngine::<dc_ett::LctForest>::new_on(n))
-    });
 }
 
 #[cfg(test)]

@@ -3,26 +3,27 @@
 //! Every earlier tier reports *throughput*; this one measures the shape of
 //! the per-query latency distribution on graphs large enough that the
 //! parent-pointer climbs of `connected` are DRAM-bound (default n = 10M
-//! vertices, scalable to 50M+ via `DC_BENCH_SCALE`). At that size the
-//! scalar Listing-1 read walks one cache-missing hop at a time, so memory
+//! vertices, scalable to 50M+ via `DC_BENCH_SCALE`). At that size a
+//! Listing-1 read walks one cache-missing hop at a time, so memory
 //! latency — not instruction count — dominates, and the interleaved,
 //! prefetched bulk-read path (`EulerForest::connected_many_with`) can
-//! overlap W independent climbs to hide it.
+//! overlap W independent climbs to hide it. Width 1 runs the climbs one
+//! after another and is the baseline the wider cells are compared with.
 //!
 //! Two query mixes run over one shared structure (queries never mutate,
 //! so a single expensive load serves every cell):
 //!
 //! * **read-storm** — uniform random pairs: effectively cold reads, every
 //!   climb hop misses cache. The headline cell; the CI gate asserts the
-//!   interleaved engine beats scalar by [`GATE_SPEEDUP_FLOOR`] here (with
+//!   best wider width beats width 1 by [`GATE_SPEEDUP_FLOOR`] here (with
 //!   hints off, i.e. on the pure climbing protocol) whenever the run is at
 //!   full scale ([`GATE_MIN_VERTICES`]).
 //! * **zipf-read** — Zipf(θ = 0.99) hot-set pairs: the cache-friendly
-//!   regime where the scalar path already sits in LLC and interleaving
+//!   regime where sequential climbs already sit in LLC and interleaving
 //!   must not cost anything.
 //!
-//! Each mix runs scalar and interleaved at W ∈ {1, 4, 8, 16}, hints on and
-//! off (5 engines × 2 hint modes × 2 mixes = 20 cells). Per-query latency
+//! Each mix runs the interleaved engine at W ∈ {1, 4, 8, 16}, hints on and
+//! off (4 widths × 2 hint modes × 2 mixes = 16 cells). Per-query latency
 //! is derived from per-batch timing (batches of [`LatencyBenchConfig::batch`]
 //! pairs through `connected_many`), recorded into the fixed-bucket
 //! [`LatencyHistogram`], so p50/p90/p99/p999 ride alongside the mean.
@@ -32,8 +33,9 @@
 //! through [`dc_graph::EdgeBatchReader`], so no whole-graph edge list is
 //! ever materialized — the same shape a 50M-vertex load from disk would
 //! take. Before measuring, a differential pass checks the interleaved
-//! engine against the scalar oracle on a query prefix for every (width,
-//! hints) combination and panics on any disagreement.
+//! engine against per-pair `connected` with hints off (the paper's
+//! Listing-1 climb) on a query prefix for every (width, hints)
+//! combination and panics on any disagreement.
 
 use crate::config::bench_scale;
 use crate::report::{json_number, json_string};
@@ -44,20 +46,20 @@ use std::io::Read;
 use std::time::Instant;
 
 /// The CI gate's speedup floor: at full scale, the best interleaved cell
-/// must beat scalar by at least this factor on cold reads (read-storm,
+/// must beat width 1 by at least this factor on cold reads (read-storm,
 /// hints off).
 pub const GATE_SPEEDUP_FLOOR: f64 = 1.3;
 
 /// The gate only binds at or above this vertex count — below it the
 /// structure fits in cache, climbs stop being DRAM-bound, and the speedup
 /// the gate protects is not expected (quick/CI runs still check
-/// scalar/interleaved agreement and distribution sanity).
+/// agreement with the climb and distribution sanity).
 pub const GATE_MIN_VERTICES: usize = 10_000_000;
 
 /// Streaming load batch size (edges per `EdgeBatchReader` batch).
 const LOAD_BATCH: usize = 65_536;
 
-/// Differential-oracle prefix length per (scenario, engine, hints) cell.
+/// Differential-oracle prefix length per (scenario, width, hints) cell.
 const AGREEMENT_PREFIX: usize = 2_048;
 
 /// Scenario parameters for the latency tier.
@@ -72,7 +74,7 @@ pub struct LatencyBenchConfig {
     pub queries_per_cell: usize,
     /// Pairs per `connected_many` call (per-batch timing granularity).
     pub batch: usize,
-    /// Interleave widths measured (scalar always runs in addition).
+    /// Interleave widths measured (include 1: it is the gate's baseline).
     pub widths: Vec<usize>,
     /// PRNG seed.
     pub seed: u64,
@@ -113,14 +115,12 @@ impl LatencyBenchConfig {
     }
 }
 
-/// One measured (scenario, engine, hints) cell.
+/// One measured (scenario, width, hints) cell.
 #[derive(Clone, Debug)]
 pub struct LatencyCell {
     /// Scenario key ("read-storm" / "zipf-read").
     pub scenario: String,
-    /// Engine label ("scalar" / "interleaved-w8").
-    pub engine: String,
-    /// Interleave width; 0 for the scalar engine.
+    /// Interleave width.
     pub width: usize,
     /// Whether the root-hint cache was enabled.
     pub hints: bool,
@@ -138,8 +138,8 @@ pub struct LatencyCell {
     pub p999_ns: u64,
     /// Worst observed (batch-mean) per-query latency, nanoseconds.
     pub max_ns: u64,
-    /// How many queried pairs were connected (cross-engine checksum: every
-    /// engine must agree on this for the same scenario).
+    /// How many queried pairs were connected (cross-width checksum: every
+    /// width must agree on this for the same scenario).
     pub connected_true: u64,
 }
 
@@ -156,7 +156,7 @@ pub struct LatencyBaseline {
     pub edges_loaded: usize,
     /// Wall-clock load time, milliseconds.
     pub load_millis: f64,
-    /// Queries cross-checked between the scalar oracle and each
+    /// Queries cross-checked between per-pair `connected` and each
     /// interleaved configuration before measuring.
     pub agreement_queries: usize,
     /// All measured cells.
@@ -164,26 +164,26 @@ pub struct LatencyBaseline {
 }
 
 impl LatencyBaseline {
-    /// The cell for (`scenario`, `engine`, `hints`), if measured.
-    pub fn cell(&self, scenario: &str, engine: &str, hints: bool) -> Option<&LatencyCell> {
+    /// The cell for (`scenario`, `width`, `hints`), if measured.
+    pub fn cell(&self, scenario: &str, width: usize, hints: bool) -> Option<&LatencyCell> {
         self.cells
             .iter()
-            .find(|c| c.scenario == scenario && c.engine == engine && c.hints == hints)
+            .find(|c| c.scenario == scenario && c.width == width && c.hints == hints)
     }
 
-    /// The gate quantity: scalar mean over the best interleaved mean on
+    /// The gate quantity: the width-1 mean over the best wider mean on
     /// the cold-read cell (read-storm, hints off). `None` until both sides
     /// were measured.
     pub fn read_storm_cold_speedup(&self) -> Option<f64> {
-        let scalar = self.cell("read-storm", "scalar", false)?;
+        let sequential = self.cell("read-storm", 1, false)?;
         let best = self
             .cells
             .iter()
-            .filter(|c| c.scenario == "read-storm" && !c.hints && c.width > 0)
+            .filter(|c| c.scenario == "read-storm" && !c.hints && c.width > 1)
             .map(|c| c.mean_ns)
             .fold(f64::INFINITY, f64::min);
         if best.is_finite() {
-            Some(scalar.mean_ns / best.max(1e-9))
+            Some(sequential.mean_ns / best.max(1e-9))
         } else {
             None
         }
@@ -306,57 +306,19 @@ fn zipf_pairs(n: usize, count: usize, seed: u64) -> Vec<(u32, u32)> {
         .collect()
 }
 
-/// Which bulk-read door a cell goes through.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Engine {
-    Scalar,
-    Interleaved(usize),
-}
-
-impl Engine {
-    fn label(&self) -> String {
-        match self {
-            Engine::Scalar => "scalar".to_string(),
-            Engine::Interleaved(w) => format!("interleaved-w{w}"),
-        }
-    }
-
-    fn width(&self) -> usize {
-        match self {
-            Engine::Scalar => 0,
-            Engine::Interleaved(w) => *w,
-        }
-    }
-
-    /// Configures `hdt` and runs one `connected_many` round through the
-    /// engine's door.
-    fn run(&self, hdt: &Hdt, pairs: &[(u32, u32)], out: &mut Vec<bool>) {
-        match self {
-            Engine::Scalar => hdt.connected_many_scalar(pairs, out),
-            Engine::Interleaved(_) => hdt.connected_many(pairs, out),
-        }
-    }
-
-    fn configure(&self, hdt: &Hdt) {
-        if let Engine::Interleaved(w) = self {
-            hdt.set_interleaved_reads(true);
-            hdt.set_interleave_width(*w);
-        }
-    }
-}
-
-/// Measures one cell: `queries` in `batch`-sized rounds through the
-/// engine, per-query latency derived from per-batch timing.
+/// Measures one cell: `queries` in `batch`-sized rounds through
+/// `connected_many` at interleave `width`, per-query latency derived from
+/// per-batch timing.
 fn measure_cell(
     hdt: &Hdt,
     scenario: &str,
-    engine: Engine,
+    width: usize,
     hints: bool,
     queries: &[(u32, u32)],
     batch: usize,
 ) -> LatencyCell {
     hdt.set_read_hints(hints);
-    engine.configure(hdt);
+    hdt.set_interleave_width(width);
     let mut histogram = LatencyHistogram::new();
     let mut out = Vec::with_capacity(batch);
     let mut total_nanos = 0u64;
@@ -366,7 +328,7 @@ fn measure_cell(
         // (but capacity-warm) buffer every round.
         out.clear();
         let before = Instant::now();
-        engine.run(hdt, chunk, &mut out);
+        hdt.connected_many(chunk, &mut out);
         let nanos = before.elapsed().as_nanos() as u64;
         total_nanos += nanos;
         histogram.record_n(nanos / chunk.len() as u64, chunk.len() as u64);
@@ -374,8 +336,7 @@ fn measure_cell(
     }
     LatencyCell {
         scenario: scenario.to_string(),
-        engine: engine.label(),
-        width: engine.width(),
+        width,
         hints,
         queries: queries.len(),
         mean_ns: total_nanos as f64 / queries.len().max(1) as f64,
@@ -388,29 +349,28 @@ fn measure_cell(
     }
 }
 
-/// Checks the interleaved engine against the scalar oracle on a query
-/// prefix, for every (width, hints) combination of `config`.
+/// Checks the interleaved engine against per-pair `connected` with hints
+/// off (the Listing-1 climb) on a query prefix, for every (width, hints)
+/// combination of `config`.
 ///
 /// # Panics
 /// Panics on the first disagreement — a wrong answer invalidates every
 /// number the tier would report, so the bench refuses to continue.
 fn check_agreement(hdt: &Hdt, config: &LatencyBenchConfig, queries: &[(u32, u32)]) -> usize {
     let prefix = &queries[..queries.len().min(AGREEMENT_PREFIX)];
-    let mut expected = Vec::new();
+    hdt.set_read_hints(false);
+    let expected: Vec<bool> = prefix.iter().map(|&(u, v)| hdt.connected(u, v)).collect();
     let mut got = Vec::new();
     let mut checked = 0;
     for &hints in &[false, true] {
         hdt.set_read_hints(hints);
-        expected.clear();
-        hdt.connected_many_scalar(prefix, &mut expected);
         for &width in &config.widths {
-            let engine = Engine::Interleaved(width);
-            engine.configure(hdt);
+            hdt.set_interleave_width(width);
             got.clear();
             hdt.connected_many(prefix, &mut got);
             assert_eq!(
                 expected, got,
-                "interleaved (w={width}, hints={hints}) disagrees with the scalar oracle"
+                "interleaved (w={width}, hints={hints}) disagrees with the Listing-1 climb"
             );
             checked += prefix.len();
         }
@@ -419,7 +379,7 @@ fn check_agreement(hdt: &Hdt, config: &LatencyBenchConfig, queries: &[(u32, u32)
 }
 
 /// Runs the full latency tier: streamed load, differential agreement
-/// check, then all 20 cells.
+/// check, then all 16 cells.
 pub fn run_latency_bench(config: &LatencyBenchConfig) -> LatencyBaseline {
     let mut baseline = LatencyBaseline {
         git_rev: crate::ettbench::git_rev(),
@@ -462,17 +422,14 @@ pub fn run_latency_bench(config: &LatencyBenchConfig) -> LatencyBaseline {
         baseline.agreement_queries += check_agreement(&hdt, config, queries);
     }
 
-    // --- the 20 cells -------------------------------------------------------
-    let engines: Vec<Engine> = std::iter::once(Engine::Scalar)
-        .chain(config.widths.iter().map(|&w| Engine::Interleaved(w)))
-        .collect();
+    // --- the 16 cells -------------------------------------------------------
     for (name, queries) in &scenarios {
         for &hints in &[false, true] {
-            for &engine in &engines {
+            for &width in &config.widths {
                 baseline.cells.push(measure_cell(
                     &hdt,
                     name,
-                    engine,
+                    width,
                     hints,
                     queries,
                     config.batch,
@@ -547,10 +504,10 @@ impl LatencyBaseline {
                     out.push(',');
                 }
                 out.push_str(&format!(
-                    "\n      \"{}{}\": {{ \"width\": {}, \"hints\": {}, \"queries\": {}, \
-                     \"mean_ns\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \
-                     \"p999_ns\": {}, \"max_ns\": {}, \"connected_true\": {} }}",
-                    cell.engine,
+                    "\n      \"interleaved-w{}{}\": {{ \"width\": {}, \"hints\": {}, \
+                     \"queries\": {}, \"mean_ns\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \
+                     \"p99_ns\": {}, \"p999_ns\": {}, \"max_ns\": {}, \"connected_true\": {} }}",
+                    cell.width,
                     if cell.hints { "+hints" } else { "" },
                     cell.width,
                     cell.hints,
@@ -582,13 +539,13 @@ impl LatencyBaseline {
         for name in names {
             out.push_str(&format!("\n-- {name} --\n"));
             out.push_str(&format!(
-                "{:<22}{:>7}{:>12}{:>10}{:>10}{:>10}{:>10}\n",
-                "engine", "hints", "mean ns", "p50", "p90", "p99", "p999"
+                "{:<8}{:>7}{:>12}{:>10}{:>10}{:>10}{:>10}\n",
+                "width", "hints", "mean ns", "p50", "p90", "p99", "p999"
             ));
             for cell in self.cells.iter().filter(|c| c.scenario == name) {
                 out.push_str(&format!(
-                    "{:<22}{:>7}{:>12.0}{:>10}{:>10}{:>10}{:>10}\n",
-                    cell.engine,
+                    "{:<8}{:>7}{:>12.0}{:>10}{:>10}{:>10}{:>10}\n",
+                    cell.width,
                     if cell.hints { "on" } else { "off" },
                     cell.mean_ns,
                     cell.p50_ns,
@@ -653,20 +610,20 @@ mod tests {
         let baseline = run_latency_bench(&config);
         assert_eq!(baseline.vertices, 4_096);
         assert!(baseline.edges_loaded >= 4_095);
-        // 2 scenarios x 2 hint modes x (scalar + 2 widths) = 12 cells.
-        assert_eq!(baseline.cells.len(), 12);
+        // 2 scenarios x 2 hint modes x 2 widths = 8 cells.
+        assert_eq!(baseline.cells.len(), 8);
         // Agreement pass covered both hint modes and both widths per mix,
         // over the min(queries, AGREEMENT_PREFIX) prefix.
         assert_eq!(baseline.agreement_queries, 2 * 2 * 2 * 2_000);
         for cell in &baseline.cells {
-            assert_eq!(cell.queries, 2_000, "{}", cell.engine);
-            assert!(cell.mean_ns > 0.0, "{}", cell.engine);
-            assert!(cell.p50_ns <= cell.p99_ns, "{}", cell.engine);
-            assert!(cell.p99_ns <= cell.p999_ns, "{}", cell.engine);
-            assert!(cell.p999_ns <= cell.max_ns, "{}", cell.engine);
+            assert_eq!(cell.queries, 2_000, "w{}", cell.width);
+            assert!(cell.mean_ns > 0.0, "w{}", cell.width);
+            assert!(cell.p50_ns <= cell.p99_ns, "w{}", cell.width);
+            assert!(cell.p99_ns <= cell.p999_ns, "w{}", cell.width);
+            assert!(cell.p999_ns <= cell.max_ns, "w{}", cell.width);
         }
-        // Every engine answered the same queries identically: the per-
-        // scenario connected-true checksum is engine-invariant.
+        // Every width answered the same queries identically: the per-
+        // scenario connected-true checksum is width-invariant.
         for scenario in ["read-storm", "zipf-read"] {
             let counts: Vec<u64> = baseline
                 .cells
@@ -676,7 +633,7 @@ mod tests {
                 .collect();
             assert!(
                 counts.windows(2).all(|w| w[0] == w[1]),
-                "{scenario}: engines disagree on the connected count: {counts:?}"
+                "{scenario}: widths disagree on the connected count: {counts:?}"
             );
             // The tree spans every vertex, so all pairs are connected.
             assert_eq!(counts[0], 2_000, "{scenario}");

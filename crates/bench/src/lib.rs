@@ -20,13 +20,9 @@
 //!   across a checkpoint-interval sweep, emitted as
 //!   `BENCH_durability.json` ([`durabilitybench`]);
 //! * the huge-graph latency tier — per-query latency distributions
-//!   (p50/p90/p99/p999) of the scalar vs interleaved bulk-read engines on
-//!   streamed 10M+-vertex graphs, emitted as `BENCH_latency.json`
-//!   ([`latencybench`]);
-//! * the backend-shootout tier — every `(forest backend, variant)`
-//!   combination the registry supports under read-storm, churn and
-//!   bulk-load, with per-operation p50/p99/p999 and an oracle agreement
-//!   gate, emitted as `BENCH_backends.json` ([`backendsbench`]);
+//!   (p50/p90/p99/p999) of the interleaved bulk-read engine across walk
+//!   widths on streamed 10M+-vertex graphs, emitted as
+//!   `BENCH_latency.json` ([`latencybench`]);
 //! * the observability tier — the read-storm workload measured with
 //!   `dc_obs` disabled, metrics-only and metrics+tracing against an
 //!   untouched baseline, gating the disabled overhead, emitted as
@@ -48,10 +44,9 @@
 //! The machine-readable artifacts (`BENCH_adjacency.json`, `BENCH_ett.json`,
 //! `BENCH_batch.json`, `BENCH_workloads.json`, `BENCH_reads.json`,
 //! `BENCH_durability.json`, `BENCH_latency.json`, `BENCH_obs.json`,
-//! `BENCH_backends.json`, `BENCH_faults.json`) are documented in
+//! `BENCH_faults.json`) are documented in
 //! `docs/bench-schema.md`.
 
-pub mod backendsbench;
 pub mod batchbench;
 pub mod config;
 pub mod durabilitybench;
@@ -67,7 +62,6 @@ pub mod stats;
 pub mod throughput;
 pub mod workloadbench;
 
-pub use backendsbench::{run_backends_bench, BackendsBaseline, BackendsBenchConfig};
 pub use batchbench::{run_batch_bench, BatchBaseline, BatchBenchConfig};
 pub use config::BenchConfig;
 pub use durabilitybench::{run_durability_bench, DurabilityBaseline, DurabilityBenchConfig};

@@ -11,7 +11,6 @@
 
 use crate::api::DynamicConnectivity;
 use crate::hdt::Hdt;
-use dc_ett::{DynamicForest, EulerForest};
 use dc_sync::{CombiningExecutor, CombiningMode, CombiningTarget};
 use std::sync::Arc;
 
@@ -36,11 +35,11 @@ pub enum CombinedRes {
 }
 
 /// The sequential structure driven by the combining executor.
-pub struct HdtTarget<F: DynamicForest = EulerForest> {
-    hdt: Arc<Hdt<F>>,
+pub struct HdtTarget {
+    hdt: Arc<Hdt>,
 }
 
-impl<F: DynamicForest> CombiningTarget for HdtTarget<F> {
+impl CombiningTarget for HdtTarget {
     type Op = CombinedOp;
     type Res = CombinedRes;
 
@@ -71,27 +70,20 @@ impl<F: DynamicForest> CombiningTarget for HdtTarget<F> {
 }
 
 /// Variants 12 and 13 of the evaluation.
-pub struct CombiningVariant<F: DynamicForest = EulerForest> {
-    hdt: Arc<Hdt<F>>,
-    executor: CombiningExecutor<HdtTarget<F>>,
+pub struct CombiningVariant {
+    hdt: Arc<Hdt>,
+    executor: CombiningExecutor<HdtTarget>,
     lock_free_reads: bool,
 }
 
 impl CombiningVariant {
-    /// Creates the variant over `n` vertices on the default (ETT) backend.
+    /// Creates the variant over `n` vertices.
     ///
     /// `lock_free_reads` selects variant 13's behaviour (queries bypass the
     /// combiner and use the concurrent forest); otherwise queries are
     /// combined like every other operation (variant 12).
     pub fn new(n: usize, mode: CombiningMode, lock_free_reads: bool) -> Self {
-        CombiningVariant::new_on(n, mode, lock_free_reads)
-    }
-}
-
-impl<F: DynamicForest> CombiningVariant<F> {
-    /// Creates the variant over `n` vertices on backend `F`.
-    pub fn new_on(n: usize, mode: CombiningMode, lock_free_reads: bool) -> Self {
-        let hdt = Arc::new(Hdt::new_on(n));
+        let hdt = Arc::new(Hdt::new(n));
         let target = HdtTarget {
             hdt: Arc::clone(&hdt),
         };
@@ -103,12 +95,12 @@ impl<F: DynamicForest> CombiningVariant<F> {
     }
 
     /// Access to the underlying structure (tests and statistics).
-    pub fn hdt(&self) -> &Hdt<F> {
+    pub fn hdt(&self) -> &Hdt {
         &self.hdt
     }
 }
 
-impl<F: DynamicForest> DynamicConnectivity for CombiningVariant<F> {
+impl DynamicConnectivity for CombiningVariant {
     fn add_edge(&self, u: u32, v: u32) {
         if u == v {
             return;

@@ -57,7 +57,7 @@
 //!   publications).
 
 use crate::state::{EdgeState, RemovalOp, Status};
-use dc_ett::{DynamicForest, EulerForest, Mark, NodeRef};
+use dc_ett::{EulerForest, Mark, NodeRef};
 use dc_graph::Edge;
 use dc_sync::{AdjacencyStore, ShardedMap};
 use std::ops::ControlFlow;
@@ -136,28 +136,21 @@ impl StatsSnapshot {
     }
 }
 
-/// Handle to the component locks acquired by [`Hdt::lock_components`],
-/// generic over the backend's representative handle (`R = F::Root`).
+/// Handle to the component locks acquired by [`Hdt::lock_components`].
 #[derive(Debug, Clone, Copy)]
-pub struct LockedComponents<R = NodeRef> {
-    roots: [R; 2],
+pub struct LockedComponents {
+    roots: [NodeRef; 2],
     count: usize,
     shared: bool,
 }
 
 /// The HDT dynamic connectivity core; see the module documentation.
-///
-/// Generic over the per-level spanning-forest backend: any
-/// [`DynamicForest`] works (the treap-ETT [`EulerForest`] is the default;
-/// `dc_ett::LctForest` is the link-cut-tree alternative). The backend choice
-/// constrains which *variants* may drive the structure — see
-/// `Variant::supports_backend` and `DESIGN.md` §12.
-pub struct Hdt<F: DynamicForest = EulerForest> {
+pub struct Hdt {
     n: usize,
     /// Per-level spanning forests. Level 0 is materialized at construction
     /// (it answers every query); levels `>= 1` are only built when the first
     /// promotion reaches them, so `Hdt::new` is O(n) instead of O(n log n).
-    levels: Vec<OnceLock<F>>,
+    levels: Vec<OnceLock<EulerForest>>,
     /// Adjacent non-spanning edges, slot `(level, vertex)`.
     nontree_adj: AdjacencyStore<Edge>,
     /// Adjacent spanning edges of exactly `level`, slot `(level, vertex)`.
@@ -166,43 +159,28 @@ pub struct Hdt<F: DynamicForest = EulerForest> {
     pub(crate) states: ShardedMap<Edge, EdgeState>,
     /// In-flight spanning-edge removals, keyed by the component's level-0
     /// root (the representative concurrent readers observe).
-    pub(crate) removal_ops: ShardedMap<F::Root, Arc<RemovalOp>>,
+    pub(crate) removal_ops: ShardedMap<NodeRef, Arc<RemovalOp>>,
     sampling_limit: usize,
     stats: OpStats,
 }
 
 impl Hdt {
-    /// Creates an empty structure over `n` vertices on the default
-    /// (Euler-tour-tree) backend.
+    /// Creates an empty structure over `n` vertices.
     pub fn new(n: usize) -> Self {
         Self::with_sampling(n, DEFAULT_SAMPLING_LIMIT)
     }
 
     /// Creates an empty structure with an explicit sampling budget for the
-    /// replacement search (0 disables the heuristic), on the default
-    /// backend.
+    /// replacement search (0 disables the heuristic).
     pub fn with_sampling(n: usize, sampling_limit: usize) -> Self {
-        Hdt::with_sampling_on(n, sampling_limit)
-    }
-}
-
-impl<F: DynamicForest> Hdt<F> {
-    /// Creates an empty structure over `n` vertices on backend `F`.
-    pub fn new_on(n: usize) -> Self {
-        Self::with_sampling_on(n, DEFAULT_SAMPLING_LIMIT)
-    }
-
-    /// Creates an empty structure on backend `F` with an explicit sampling
-    /// budget for the replacement search (0 disables the heuristic).
-    pub fn with_sampling_on(n: usize, sampling_limit: usize) -> Self {
         assert!(n >= 1, "the structure needs at least one vertex");
         let lmax = (n.max(2) as f64).log2().floor() as usize;
         let num_levels = lmax + 2; // levels 0..=lmax plus one spill level
-        let levels: Vec<OnceLock<F>> = (0..num_levels).map(|_| OnceLock::new()).collect();
+        let levels: Vec<OnceLock<EulerForest>> = (0..num_levels).map(|_| OnceLock::new()).collect();
         // Queries read the level-0 forest with no synchronization, so it is
         // the one level built eagerly.
         if levels[0]
-            .set(F::with_seed(n, Self::forest_seed(0)))
+            .set(EulerForest::with_seed(n, Self::forest_seed(0)))
             .is_err()
         {
             unreachable!("level 0 initialized twice");
@@ -236,8 +214,9 @@ impl<F: DynamicForest> Hdt<F> {
 
     /// The level-`i` spanning forest (the level-0 forest is the one queries
     /// read). Forests above level 0 materialize on first access.
-    pub fn forest(&self, level: usize) -> &F {
-        self.levels[level].get_or_init(|| F::with_seed(self.n, Self::forest_seed(level)))
+    #[inline]
+    pub fn forest(&self, level: usize) -> &EulerForest {
+        self.levels[level].get_or_init(|| EulerForest::with_seed(self.n, Self::forest_seed(level)))
     }
 
     /// Number of level forests that have been materialized so far.
@@ -282,19 +261,6 @@ impl<F: DynamicForest> Hdt<F> {
         self.forest(0).read_hints_enabled()
     }
 
-    /// Enables or disables the interleaved, software-prefetched bulk read
-    /// engine behind [`Hdt::connected_many`] (strictly a latency
-    /// optimization; both settings answer identically — disabled, bulk
-    /// reads take the scalar memo path, the differential oracle).
-    pub fn set_interleaved_reads(&self, enabled: bool) {
-        self.forest(0).set_interleaved_reads(enabled);
-    }
-
-    /// Whether bulk reads go through the interleaved engine.
-    pub fn interleaved_reads_enabled(&self) -> bool {
-        self.forest(0).interleaved_reads_enabled()
-    }
-
     /// Sets the interleaved engine's in-flight climb count (clamped to
     /// `1..=dc_ett::MAX_INTERLEAVE_WIDTH`; the default of 8 suits most
     /// hosts — see `DESIGN.md` §10).
@@ -311,6 +277,7 @@ impl<F: DynamicForest> Hdt<F> {
 
     /// Lock-free linearizable connectivity query (paper Listing 1 applied to
     /// the level-0 forest). Safe to call from any thread at any time.
+    #[inline]
     pub fn connected(&self, u: u32, v: u32) -> bool {
         if u == v {
             return true;
@@ -320,6 +287,7 @@ impl<F: DynamicForest> Hdt<F> {
 
     /// Connectivity query by plain root comparison; valid only while the
     /// caller holds locks covering both components.
+    #[inline]
     pub fn connected_locked(&self, u: u32, v: u32) -> bool {
         u == v || self.forest(0).same_tree_locked(u, v)
     }
@@ -343,7 +311,7 @@ impl<F: DynamicForest> Hdt<F> {
 
     // ----- per-component locking (paper Listing 2) ---------------------------
 
-    fn lock_components_inner(&self, u: u32, v: u32, shared: bool) -> LockedComponents<F::Root> {
+    fn lock_components_inner(&self, u: u32, v: u32, shared: bool) -> LockedComponents {
         let forest = self.forest(0);
         loop {
             let u_root = forest.find_root_node(u);
@@ -354,14 +322,14 @@ impl<F: DynamicForest> Hdt<F> {
             } else {
                 (v_root, u_root)
             };
-            let lock = |r: F::Root| {
+            let lock = |r: NodeRef| {
                 if shared {
                     forest.root_lock(r).read_lock()
                 } else {
                     forest.root_lock(r).lock()
                 }
             };
-            let unlock = |r: F::Root| {
+            let unlock = |r: NodeRef| {
                 if shared {
                     forest.root_lock(r).read_unlock()
                 } else {
@@ -394,19 +362,19 @@ impl<F: DynamicForest> Hdt<F> {
     /// Acquires the per-component locks for the components of `u` and `v`
     /// (one lock if they are in the same component), following the retry
     /// protocol of paper Listing 2.
-    pub fn lock_components(&self, u: u32, v: u32) -> LockedComponents<F::Root> {
+    pub fn lock_components(&self, u: u32, v: u32) -> LockedComponents {
         self.lock_components_inner(u, v, false)
     }
 
     /// Shared-mode variant used by the fine-grained readers-writer algorithm
     /// for queries.
-    pub fn lock_components_shared(&self, u: u32, v: u32) -> LockedComponents<F::Root> {
+    pub fn lock_components_shared(&self, u: u32, v: u32) -> LockedComponents {
         self.lock_components_inner(u, v, true)
     }
 
     /// Releases locks acquired by [`Hdt::lock_components`] /
     /// [`Hdt::lock_components_shared`].
-    pub fn unlock_components(&self, locked: LockedComponents<F::Root>) {
+    pub fn unlock_components(&self, locked: LockedComponents) {
         let forest = self.forest(0);
         for i in 0..locked.count {
             let lock = forest.root_lock(locked.roots[i]);
@@ -535,17 +503,17 @@ impl<F: DynamicForest> Hdt<F> {
 
     /// Publishes a removal marker for the component whose level-0 root is
     /// `root` (used by the lock-free protocol's conflict handshake).
-    pub(crate) fn publish_removal(&self, root: F::Root, op: Arc<RemovalOp>) {
+    pub(crate) fn publish_removal(&self, root: NodeRef, op: Arc<RemovalOp>) {
         self.removal_ops.insert(root, op);
     }
 
     /// Removes a previously published removal marker.
-    pub(crate) fn unpublish_removal(&self, root: F::Root) {
+    pub(crate) fn unpublish_removal(&self, root: NodeRef) {
         self.removal_ops.remove(&root);
     }
 
     /// Returns the removal marker currently published for `root`, if any.
-    pub(crate) fn published_removal(&self, root: F::Root) -> Option<Arc<RemovalOp>> {
+    pub(crate) fn published_removal(&self, root: NodeRef) -> Option<Arc<RemovalOp>> {
         self.removal_ops.get(&root)
     }
 
@@ -681,19 +649,11 @@ impl<F: DynamicForest> Hdt<F> {
     /// never re-climb within one call, even when the hint cache is cold or
     /// disabled. Each answer is still individually linearizable.
     ///
-    /// By default the run goes through the interleaved, software-prefetched
-    /// read engine (`DESIGN.md` §10), which overlaps the DRAM stalls of
-    /// independent climbs; [`Hdt::set_interleaved_reads`]`(false)` routes
-    /// it through the scalar memo path instead.
+    /// The run goes through the interleaved, software-prefetched read
+    /// engine (`DESIGN.md` §10), which overlaps the DRAM stalls of
+    /// independent climbs.
     pub fn connected_many(&self, pairs: &[(u32, u32)], out: &mut Vec<bool>) {
         self.forest(0).connected_many_into(pairs, out);
-    }
-
-    /// [`Hdt::connected_many`] forced through the scalar memo path
-    /// regardless of the interleaved toggle — the differential oracle the
-    /// interleaved engine is tested (and benchmarked) against.
-    pub fn connected_many_scalar(&self, pairs: &[(u32, u32)], out: &mut Vec<bool>) {
-        self.forest(0).connected_many_scalar_into(pairs, out);
     }
 
     // ----- durability hooks (used by the `dc_durable` checkpoint layer) ------
@@ -727,7 +687,7 @@ impl<F: DynamicForest> Hdt<F> {
             let Some(forest) = self.levels[lvl].get() else {
                 continue;
             };
-            forest.for_each_tree_edge(&mut |u, v| {
+            forest.for_each_tree_edge(|u, v| {
                 let edge = Edge::new(u, v);
                 if seen.insert(edge) {
                     let state = self.states.get(&edge);
@@ -841,13 +801,10 @@ impl<F: DynamicForest> Hdt<F> {
         }
     }
 
-    /// Makes `edge` a spanning edge at `level`: links it into forests
-    /// `0..=level`, records it in the exact-level spanning adjacency and
-    /// raises the spanning subtree flags. Caller must hold the locks.
     /// Fallible [`Hdt::make_spanning`] for the add path (always level 0):
-    /// the single forest link is attempted through the backend's
-    /// `try_link`, and on rejection nothing — no adjacency record, no mark,
-    /// no event — has happened yet.
+    /// the single forest link is attempted through
+    /// [`EulerForest::try_link`], and on rejection nothing — no adjacency
+    /// record, no mark, no event — has happened yet.
     fn try_make_spanning_level0(&self, edge: Edge) -> Result<(), dc_ett::ArenaExhausted> {
         let (u, v) = edge.endpoints();
         self.forest(0).try_link(u, v)?;
@@ -860,6 +817,9 @@ impl<F: DynamicForest> Hdt<F> {
         Ok(())
     }
 
+    /// Makes `edge` a spanning edge at `level`: links it into forests
+    /// `0..=level`, records it in the exact-level spanning adjacency and
+    /// raises the spanning subtree flags. Caller must hold the locks.
     fn make_spanning(&self, edge: Edge, level: usize) {
         let (u, v) = edge.endpoints();
         dc_obs::event(
@@ -990,12 +950,11 @@ impl<F: DynamicForest> Hdt<F> {
 
     /// Promotes every spanning edge of exactly `level` inside the tree of
     /// `root` (in the level-`level` forest) to `level + 1`, guided by the
-    /// backend's mark-filtered walk (the ETT prunes whole subtrees through
-    /// its aggregate flags and repairs them post-order; the LCT enumerates
-    /// the piece — see `DESIGN.md` §12 for the tradeoff).
-    fn promote_spanning_edges(&self, level: usize, root: F::Root) {
+    /// forest's mark-filtered walk, which prunes whole subtrees through
+    /// their aggregate flags and repairs them post-order.
+    fn promote_spanning_edges(&self, level: usize, root: NodeRef) {
         let forest = self.forest(level);
-        forest.visit_marked_vertices(root, Mark::Spanning, &mut |vertex| {
+        forest.visit_marked_vertices(root, Mark::Spanning, |vertex| {
             self.promote_vertex_spanning_edges(level, vertex);
             ControlFlow::Continue(())
         });
@@ -1052,17 +1011,18 @@ impl<F: DynamicForest> Hdt<F> {
     ///
     /// When a replacement is found its state has already been advanced to
     /// `Spanning(level)`; the caller links it into the forests. The break
-    /// aborts the backend's walk — pending aggregate repairs are skipped,
-    /// which is the conservative direction (see the trait contract).
+    /// aborts the forest's walk — pending aggregate repairs are skipped,
+    /// which is the conservative direction (see
+    /// [`EulerForest::visit_marked_vertices`]).
     fn scan_for_replacement(
         &self,
         level: usize,
-        root: F::Root,
+        root: NodeRef,
         sampling_budget: &mut usize,
     ) -> Option<Edge> {
         let forest = self.forest(level);
         let mut found = None;
-        forest.visit_marked_vertices(root, Mark::NonSpanning, &mut |vertex| {
+        forest.visit_marked_vertices(root, Mark::NonSpanning, |vertex| {
             found = self.scan_vertex(level, vertex, sampling_budget);
             if found.is_some() {
                 ControlFlow::Break(())

@@ -47,7 +47,4 @@ pub use baseline::{RecomputeOracle, UnionFind};
 pub use dc_ett::ArenaExhausted;
 pub use hdt::{Hdt, StatsSnapshot};
 pub use state::{EdgeState, Status};
-pub use variants::{
-    batch_builder_registered, batch_builder_registered_for, register_batch_builder,
-    register_batch_builder_lct, ForestBackend, Variant,
-};
+pub use variants::{batch_builder_registered, register_batch_builder, Variant};

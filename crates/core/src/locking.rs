@@ -8,21 +8,13 @@
 //! schemes behind one trait lets each combination be a thin wrapper.
 
 use crate::hdt::Hdt;
-use dc_ett::DynamicForest;
 use dc_sync::{waitstats, ElisionLock, RawSpinLock};
 
-/// How update operations serialize against each other, on any
-/// [`DynamicForest`] backend.
+/// How update operations serialize against each other.
 pub trait UpdateLocking: Send + Sync {
     /// Runs `f` while holding whatever locks cover the components of `u` and
     /// `v`.
-    fn with_locked<R, F: DynamicForest>(
-        &self,
-        hdt: &Hdt<F>,
-        u: u32,
-        v: u32,
-        f: impl FnOnce() -> R,
-    ) -> R;
+    fn with_locked<R>(&self, hdt: &Hdt, u: u32, v: u32, f: impl FnOnce() -> R) -> R;
 }
 
 /// One global lock serializing all updates (coarse-grained locking).
@@ -39,13 +31,7 @@ impl GlobalLocking {
 }
 
 impl UpdateLocking for GlobalLocking {
-    fn with_locked<R, F: DynamicForest>(
-        &self,
-        _hdt: &Hdt<F>,
-        _u: u32,
-        _v: u32,
-        f: impl FnOnce() -> R,
-    ) -> R {
+    fn with_locked<R>(&self, _hdt: &Hdt, _u: u32, _v: u32, f: impl FnOnce() -> R) -> R {
         self.lock.lock();
         let out = f();
         self.lock.unlock();
@@ -68,13 +54,7 @@ impl ElisionLocking {
 }
 
 impl UpdateLocking for ElisionLocking {
-    fn with_locked<R, F: DynamicForest>(
-        &self,
-        _hdt: &Hdt<F>,
-        _u: u32,
-        _v: u32,
-        f: impl FnOnce() -> R,
-    ) -> R {
+    fn with_locked<R>(&self, _hdt: &Hdt, _u: u32, _v: u32, f: impl FnOnce() -> R) -> R {
         let guard = self.lock.lock();
         let out = f();
         drop(guard);
@@ -83,14 +63,10 @@ impl UpdateLocking for ElisionLocking {
 }
 
 /// Per-component locks keyed by the level-0 forest representatives
-/// (fine-grained locking, paper Listing 2).
-///
-/// Backend caveat: the climb–lock–recheck protocol is only sound on
-/// backends whose representative changes at most once per structural
-/// operation, at its linearization store (the ETT). Backends that
-/// restructure through many transient representatives mid-operation (the
-/// LCT) cannot use this scheme — see `Variant::supports_backend` and
-/// `DESIGN.md` §12.
+/// (fine-grained locking, paper Listing 2). The climb–lock–recheck
+/// protocol relies on the Euler-tour forest changing a component's
+/// representative at most once per structural operation, at its
+/// linearization store.
 #[derive(Default)]
 pub struct FineLocking;
 
@@ -102,13 +78,7 @@ impl FineLocking {
 }
 
 impl UpdateLocking for FineLocking {
-    fn with_locked<R, F: DynamicForest>(
-        &self,
-        hdt: &Hdt<F>,
-        u: u32,
-        v: u32,
-        f: impl FnOnce() -> R,
-    ) -> R {
+    fn with_locked<R>(&self, hdt: &Hdt, u: u32, v: u32, f: impl FnOnce() -> R) -> R {
         let locked = hdt.lock_components(u, v);
         let out = f();
         hdt.unlock_components(locked);
@@ -139,13 +109,7 @@ impl GlobalRwLocking {
 }
 
 impl UpdateLocking for GlobalRwLocking {
-    fn with_locked<R, F: DynamicForest>(
-        &self,
-        _hdt: &Hdt<F>,
-        _u: u32,
-        _v: u32,
-        f: impl FnOnce() -> R,
-    ) -> R {
+    fn with_locked<R>(&self, _hdt: &Hdt, _u: u32, _v: u32, f: impl FnOnce() -> R) -> R {
         let timer = waitstats::WaitTimer::start();
         self.lock.lock();
         timer.finish();

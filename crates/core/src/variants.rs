@@ -29,59 +29,18 @@ use crate::combining::CombiningVariant;
 use crate::hdt::Hdt;
 use crate::locking::{ElisionLocking, FineLocking, GlobalLocking, GlobalRwLocking, UpdateLocking};
 use crate::nonblocking::NonBlockingVariant;
-use dc_ett::{DynamicForest, EulerForest, LctForest};
 use dc_sync::CombiningMode;
 use std::sync::OnceLock;
-
-/// The spanning-forest backend a variant is built over (see `DESIGN.md`
-/// §12 for what each backend guarantees and which variants it supports).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ForestBackend {
-    /// The treap Euler Tour Tree ([`EulerForest`]) — the paper's structure
-    /// and the default; supports every variant.
-    Ett,
-    /// The splay-path link-cut tree ([`LctForest`]); supports the
-    /// globally-serialized-writer variants only (its representative moves
-    /// through transient apexes mid-operation, which breaks the
-    /// climb–lock–recheck mutual exclusion of the fine-grained schemes and
-    /// the representative-keyed removal handshake of the non-blocking
-    /// protocol).
-    Lct,
-}
-
-impl ForestBackend {
-    /// Both shipped backends, ETT first.
-    pub fn all() -> &'static [ForestBackend] {
-        &[ForestBackend::Ett, ForestBackend::Lct]
-    }
-
-    /// The short lowercase label used in test failure messages, bench cells
-    /// and knobs (matches `DynamicForest::BACKEND`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            ForestBackend::Ett => EulerForest::BACKEND,
-            ForestBackend::Lct => LctForest::BACKEND,
-        }
-    }
-}
 
 /// Constructor for an extension engine (see [`register_batch_builder`]).
 pub type BatchBuilder = fn(usize) -> Box<dyn DynamicConnectivity>;
 
 static BATCH_BUILDER: OnceLock<BatchBuilder> = OnceLock::new();
-static BATCH_BUILDER_LCT: OnceLock<BatchBuilder> = OnceLock::new();
 
-/// Registers the builder behind [`Variant::BatchEngine`] on the default
-/// (ETT) backend. Called once by `dc_batch::register_variant()`; later
-/// calls are ignored.
+/// Registers the builder behind [`Variant::BatchEngine`]. Called once by
+/// `dc_batch::register_variant()`; later calls are ignored.
 pub fn register_batch_builder(builder: BatchBuilder) {
     let _ = BATCH_BUILDER.set(builder);
-}
-
-/// Registers the [`Variant::BatchEngine`] builder for the link-cut-tree
-/// backend (used by [`Variant::build_with`] with [`ForestBackend::Lct`]).
-pub fn register_batch_builder_lct(builder: BatchBuilder) {
-    let _ = BATCH_BUILDER_LCT.set(builder);
 }
 
 /// Returns `true` once a [`Variant::BatchEngine`] builder was registered.
@@ -89,46 +48,31 @@ pub fn batch_builder_registered() -> bool {
     BATCH_BUILDER.get().is_some()
 }
 
-/// Whether a [`Variant::BatchEngine`] builder was registered for `backend`.
-pub fn batch_builder_registered_for(backend: ForestBackend) -> bool {
-    match backend {
-        ForestBackend::Ett => BATCH_BUILDER.get().is_some(),
-        ForestBackend::Lct => BATCH_BUILDER_LCT.get().is_some(),
-    }
-}
-
 /// A dynamic connectivity structure whose updates run under an
 /// [`UpdateLocking`] scheme, with either locked or lock-free reads.
-pub struct LockedVariant<L: UpdateLocking, F: DynamicForest = EulerForest> {
-    hdt: Hdt<F>,
+pub struct LockedVariant<L: UpdateLocking> {
+    hdt: Hdt,
     locking: L,
     lock_free_reads: bool,
 }
 
 impl<L: UpdateLocking> LockedVariant<L> {
-    /// Creates the variant over `n` vertices on the default (ETT) backend.
+    /// Creates the variant over `n` vertices.
     pub fn new(n: usize, locking: L, lock_free_reads: bool) -> Self {
-        LockedVariant::new_on(n, locking, lock_free_reads)
-    }
-}
-
-impl<L: UpdateLocking, F: DynamicForest> LockedVariant<L, F> {
-    /// Creates the variant over `n` vertices on backend `F`.
-    pub fn new_on(n: usize, locking: L, lock_free_reads: bool) -> Self {
         LockedVariant {
-            hdt: Hdt::new_on(n),
+            hdt: Hdt::new(n),
             locking,
             lock_free_reads,
         }
     }
 
     /// Access to the underlying structure (tests and statistics).
-    pub fn hdt(&self) -> &Hdt<F> {
+    pub fn hdt(&self) -> &Hdt {
         &self.hdt
     }
 }
 
-impl<L: UpdateLocking, F: DynamicForest> DynamicConnectivity for LockedVariant<L, F> {
+impl<L: UpdateLocking> DynamicConnectivity for LockedVariant<L> {
     fn add_edge(&self, u: u32, v: u32) {
         if u == v {
             return;
@@ -171,29 +115,22 @@ impl<L: UpdateLocking, F: DynamicForest> DynamicConnectivity for LockedVariant<L
 
 /// Variant 2: a single global readers-writer lock; queries take the read
 /// side, updates the write side.
-pub struct CoarseRwVariant<F: DynamicForest = EulerForest> {
-    hdt: Hdt<F>,
+pub struct CoarseRwVariant {
+    hdt: Hdt,
     locking: GlobalRwLocking,
 }
 
 impl CoarseRwVariant {
-    /// Creates the variant over `n` vertices on the default (ETT) backend.
+    /// Creates the variant over `n` vertices.
     pub fn new(n: usize) -> Self {
-        CoarseRwVariant::new_on(n)
-    }
-}
-
-impl<F: DynamicForest> CoarseRwVariant<F> {
-    /// Creates the variant over `n` vertices on backend `F`.
-    pub fn new_on(n: usize) -> Self {
         CoarseRwVariant {
-            hdt: Hdt::new_on(n),
+            hdt: Hdt::new(n),
             locking: GlobalRwLocking::new(),
         }
     }
 }
 
-impl<F: DynamicForest> DynamicConnectivity for CoarseRwVariant<F> {
+impl DynamicConnectivity for CoarseRwVariant {
     fn add_edge(&self, u: u32, v: u32) {
         if u == v {
             return;
@@ -228,9 +165,6 @@ impl<F: DynamicForest> DynamicConnectivity for CoarseRwVariant<F> {
 
 /// Variant 7: fine-grained readers-writer locks; queries acquire the
 /// component locks in shared mode, updates in exclusive mode.
-///
-/// Fine-grained locking requires a representative-stable backend (see
-/// [`FineLocking`]); only built on the ETT.
 pub struct FineRwVariant {
     hdt: Hdt,
     locking: FineLocking,
@@ -445,106 +379,6 @@ impl Variant {
                 "Variant::BatchEngine needs dc_batch::register_variant() called first \
                  (the core crate cannot depend on dc_batch)",
             )(n),
-        }
-    }
-
-    /// Whether this variant is sound on `backend`.
-    ///
-    /// The ETT supports all fourteen. The LCT supports only the variants
-    /// whose *writers* are globally serialized (one global lock, a
-    /// combiner, or the batch engine's leader): its component
-    /// representative moves through transient apexes on every `access`, so
-    /// the fine-grained climb–lock–recheck protocol (variants 6–8) can
-    /// admit two writers into one component mid-operation, and the
-    /// non-blocking protocol's published-removal handshake (variants 9–11)
-    /// is keyed by a representative the LCT does not keep stable across a
-    /// removal. Lock-free *reads* are fine on both — the LCT upholds the
-    /// same single-sink + two-rule-bump read contract (`DESIGN.md` §12).
-    pub fn supports_backend(&self, backend: ForestBackend) -> bool {
-        use Variant::*;
-        match backend {
-            ForestBackend::Ett => true,
-            ForestBackend::Lct => matches!(
-                self,
-                CoarseGrained
-                    | CoarseRwLock
-                    | CoarseNonBlockingReads
-                    | CoarseHtm
-                    | CoarseHtmNonBlockingReads
-                    | ParallelCombining
-                    | FlatCombiningNonBlockingReads
-                    | BatchEngine
-            ),
-        }
-    }
-
-    /// The variants sound on `backend`, in paper order (extension engines
-    /// included when registered for that backend).
-    pub fn all_for_backend(backend: ForestBackend) -> Vec<Variant> {
-        let mut variants: Vec<Variant> = Self::all()
-            .iter()
-            .copied()
-            .filter(|v| v.supports_backend(backend))
-            .collect();
-        if batch_builder_registered_for(backend) {
-            variants.push(Variant::BatchEngine);
-        }
-        variants
-    }
-
-    /// Builds an instance of this variant over `n` vertices on `backend`.
-    ///
-    /// Panics if the variant is not sound on the backend (check
-    /// [`Variant::supports_backend`] first) or, for
-    /// [`Variant::BatchEngine`], if no builder was registered for it.
-    pub fn build_with(&self, n: usize, backend: ForestBackend) -> Box<dyn DynamicConnectivity> {
-        use Variant::*;
-        assert!(
-            self.supports_backend(backend),
-            "{} is not sound on the {} backend (see Variant::supports_backend)",
-            self.name(),
-            backend.label()
-        );
-        match backend {
-            ForestBackend::Ett => self.build(n),
-            ForestBackend::Lct => match self {
-                CoarseGrained => Box::new(LockedVariant::<_, LctForest>::new_on(
-                    n,
-                    GlobalLocking::new(),
-                    false,
-                )),
-                CoarseRwLock => Box::new(CoarseRwVariant::<LctForest>::new_on(n)),
-                CoarseNonBlockingReads => Box::new(LockedVariant::<_, LctForest>::new_on(
-                    n,
-                    GlobalLocking::new(),
-                    true,
-                )),
-                CoarseHtm => Box::new(LockedVariant::<_, LctForest>::new_on(
-                    n,
-                    ElisionLocking::new(),
-                    false,
-                )),
-                CoarseHtmNonBlockingReads => Box::new(LockedVariant::<_, LctForest>::new_on(
-                    n,
-                    ElisionLocking::new(),
-                    true,
-                )),
-                ParallelCombining => Box::new(CombiningVariant::<LctForest>::new_on(
-                    n,
-                    CombiningMode::ParallelReads,
-                    false,
-                )),
-                FlatCombiningNonBlockingReads => Box::new(CombiningVariant::<LctForest>::new_on(
-                    n,
-                    CombiningMode::FlatCombining,
-                    true,
-                )),
-                BatchEngine => BATCH_BUILDER_LCT.get().expect(
-                    "Variant::BatchEngine on the lct backend needs \
-                     dc_batch::register_variant() called first",
-                )(n),
-                _ => unreachable!("unsupported combinations are rejected above"),
-            },
         }
     }
 }

@@ -43,21 +43,27 @@
 //!
 //! On top of the Listing-1 protocol sits a per-vertex [`HintCache`]: a
 //! validated `(root_vertex, version)` snapshot per vertex, installed by
-//! readers on the way out of a successful climb.  Because writers bump a
-//! root's version *before* any structural change to its component, "the
-//! hinted root's version is still the recorded one" proves the component —
-//! and hence the vertex's membership — is unchanged since the snapshot, so
-//! a repeat query on a stable component is a handful of loads instead of
-//! two O(depth) pointer climbs.  Stale hints fail validation and fall back
-//! to the climb (which refreshes them); see `DESIGN.md` §8 for the safety
-//! argument and [`crate::hints`] for the encoding.
+//! readers on the way out of a successful climb.  Bit 0 of every version
+//! word is a **busy bit**: a structural operation sets it on each
+//! representative it touches before its first reader-visible store and
+//! clears it (another bump) after its last one.  Claims carrying the busy
+//! bit are never installed and never validate, so "the hinted root's
+//! version is still the recorded, non-busy one" proves no operation on the
+//! component started or ran since the snapshot — and hence the vertex's
+//! membership is unchanged — so a repeat query on a stable component is a
+//! handful of loads instead of two O(depth) pointer climbs.  Stale hints
+//! fail validation and fall back to the climb (which refreshes them); see
+//! `DESIGN.md` §8 for the safety argument and [`crate::hints`] for the
+//! encoding.
 
 use crate::arena::{Arena, NodeRef};
 use crate::hints::HintCache;
 use crate::node::{Mark, Node};
 use dc_sync::epoch::EpochGuard;
 use dc_sync::{RawRwLock, ShardedMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::cell::Cell;
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// Upper bound on the interleaved read engine's in-flight climb count (the
@@ -77,6 +83,17 @@ const INTERLEAVE_RETRY_CAP: u8 = 4;
 /// Hint-validation batch: slot lines are prefetched this many endpoints
 /// ahead of the loads that consume them.
 const HINT_PREFETCH_BATCH: usize = 16;
+
+/// Bit 0 of a root version word: set while a structural operation is
+/// between its first and last reader-visible store on that component
+/// (`DESIGN.md` §8). Versions therefore advance by two per operation.
+const BUSY: u64 = 1;
+
+/// Whether a version word (or a claim's recorded version) is mid-operation.
+#[inline]
+fn is_busy(version: u64) -> bool {
+    version & BUSY != 0
+}
 
 /// Normalizes an undirected edge key.
 #[inline]
@@ -163,8 +180,12 @@ impl ReadScratch {
 thread_local! {
     /// The per-thread scratch behind [`EulerForest::connected_many_into`]
     /// (take/put so re-entrancy degrades to a fresh scratch, never aliasing).
-    static READ_SCRATCH: std::cell::Cell<ReadScratch> =
-        const { std::cell::Cell::new(ReadScratch::new()) };
+    static READ_SCRATCH: Cell<ReadScratch> = const { Cell::new(ReadScratch::new()) };
+
+    /// Reusable two-phase DFS stack of [`EulerForest::visit_marked_vertices`]
+    /// (`(node, children_done)` frames), kept per-thread so steady-state
+    /// replacement searches allocate nothing.
+    static WALK_STACK: Cell<Vec<(NodeRef, bool)>> = const { Cell::new(Vec::new()) };
 }
 
 /// One in-flight climb of the interleaved engine: which endpoint it
@@ -208,10 +229,6 @@ pub struct EulerForest {
     /// 2 = forced on. Lets `set_read_hints(false)` on a never-queried
     /// forest stay allocation-free.
     hints_override: AtomicU8,
-    /// Whether bulk reads go through the interleaved, prefetched climber
-    /// (`connected_many_into`); the scalar memo path remains available as
-    /// the differential oracle. Both settings are correct.
-    interleaved: AtomicBool,
     /// In-flight climb count of the interleaved engine, clamped to
     /// `1..=MAX_INTERLEAVE_WIDTH`.
     interleave_width: AtomicU8,
@@ -235,7 +252,6 @@ impl EulerForest {
             locks: OnceLock::new(),
             hints: OnceLock::new(),
             hints_override: AtomicU8::new(0),
-            interleaved: AtomicBool::new(true),
             interleave_width: AtomicU8::new(DEFAULT_INTERLEAVE_WIDTH as u8),
             prio_state: AtomicU64::new(seed | 1),
         };
@@ -360,8 +376,8 @@ impl EulerForest {
         self.versions[root as usize].load(Ordering::Acquire)
     }
 
-    /// Bumps the root version of representative `r` (writer only, before a
-    /// merge/split of its component).
+    /// Sets the busy bit on representative `r`'s version (writer only,
+    /// before the operation's first reader-visible store on its component).
     ///
     /// Release, not SeqCst. The invariant readers rely on is *bump visible
     /// no later than the structural change*: the bump is sequenced before
@@ -372,13 +388,24 @@ impl EulerForest {
     /// earlier bookkeeping to readers whose validation load observes the
     /// new version word directly, sparing them a fence before the re-walk.
     #[inline]
-    pub fn bump_root_version(&self, r: NodeRef) {
+    fn begin_busy(&self, r: NodeRef) {
         let root = self.root_vertex(r);
         let version = self.versions[root as usize].fetch_add(1, Ordering::Release) + 1;
-        // Every bump invalidates the outstanding hints on this root
+        debug_assert!(is_busy(version), "root {root} was already busy");
+        // Setting the bit invalidates every outstanding hint on this root
         // (DESIGN.md §8); surface that as a counter + flight event.
         dc_obs::counter_add(dc_obs::Counter::HintInvalidations, 1);
         dc_obs::event(dc_obs::EventKind::HintInvalidation, root as u64, version);
+    }
+
+    /// Clears the busy bit on `r`'s version with a second bump (writer only,
+    /// after the operation's last reader-visible store that concerns `r`).
+    /// Hints installed from here on validate again.
+    #[inline]
+    fn end_busy(&self, r: NodeRef) {
+        let root = self.root_vertex(r);
+        let prev = self.versions[root as usize].fetch_add(1, Ordering::Release);
+        debug_assert!(is_busy(prev), "root {root} was not busy");
     }
 
     /// The per-component lock of representative `r` (level-0 only; the table
@@ -487,7 +514,17 @@ impl EulerForest {
     fn validate_hint(&self, raw: u64) -> Option<(u32, u64)> {
         let (root, ver32) = HintCache::decode(raw)?;
         let cur = self.version_of_vertex(root);
-        (cur as u32 == ver32).then_some((root, cur))
+        (cur as u32 == ver32 && !is_busy(cur)).then_some((root, cur))
+    }
+
+    /// Installs a validated claim unless it carries the busy bit: a claim
+    /// taken mid-operation may be true now and false before the operation's
+    /// closing bump, so it must never be served from the cache.
+    #[inline]
+    fn install_hint(&self, hints: &HintCache, v: u32, observed: u64, root: u32, version: u64) {
+        if !is_busy(version) {
+            hints.install(v, observed, root, version);
+        }
     }
 
     /// Resolves `v`'s current root together with its version (paper
@@ -536,22 +573,28 @@ impl EulerForest {
     }
 
     /// The hint-backed protocol: two validated endpoint resolutions plus a
-    /// version sandwich proving them simultaneous.
+    /// version sandwich proving them simultaneous. A claim taken while its
+    /// root was busy proves nothing about any other instant, so a query
+    /// holding one falls back to the climbing protocol.
     fn connected_resolve(&self, u: u32, v: u32) -> bool {
         loop {
             let (ru, ver_u) = self.resolve_root_validated(u);
             let (rv, ver_v) = self.resolve_root_validated(v);
+            if is_busy(ver_u) || is_busy(ver_v) {
+                return self.connected_climb(u, v);
+            }
             if ru == rv {
                 // Same root: each claim proves `versions[ru] == ver` at its
-                // own instant, so equal versions mean the word was constant
-                // between the two instants (monotonicity) — both claims
-                // held at once, hence connected. No extra load needed.
+                // own instant, so equal non-busy versions mean no operation
+                // on the component ran between the two instants
+                // (monotonicity) — both claims held at once, hence
+                // connected. No extra load needed.
                 if ver_u == ver_v {
                     return true;
                 }
             } else {
                 // Different roots: validate u, then v, then u again. If all
-                // three loads match, both components were unchanged at the
+                // three loads match, both non-busy claims still held at the
                 // instant of the middle load, where the answer linearizes.
                 if self.version_of_vertex(ru) == ver_u
                     && self.version_of_vertex(rv) == ver_v
@@ -596,7 +639,9 @@ impl EulerForest {
     /// Resolves `v`'s component root as a *validated* `(root_vertex,
     /// version)` claim — the pair was simultaneously current at some
     /// instant — consulting the hint cache first and double-walking on a
-    /// miss (installing the fresh hint on the way out).
+    /// miss (installing the fresh hint on the way out, unless the root was
+    /// busy). A returned claim whose version has bit 0 set was taken
+    /// mid-operation; callers pairing claims must not trust it.
     ///
     /// This is the building block bulk query paths share: resolve each
     /// distinct endpoint once, then compare and revalidate per pair
@@ -621,7 +666,7 @@ impl EulerForest {
             if self.find_root_walk(v) == (r, version) {
                 let root = self.root_vertex(r);
                 if let (Some(hints), Some(observed)) = (hints, observed) {
-                    hints.install(v, observed, root, version);
+                    self.install_hint(hints, v, observed, root, version);
                 }
                 return (root, version);
             }
@@ -636,85 +681,22 @@ impl EulerForest {
     /// linearizable (stale memo entries are revalidated per pair and
     /// refreshed on failure, exactly like hint misses).
     ///
-    /// By default the run goes through the interleaved, software-prefetched
-    /// read engine (see [`EulerForest::connected_many_with`]); with
-    /// [`EulerForest::set_interleaved_reads`]`(false)` it takes the scalar
-    /// memo path ([`EulerForest::connected_many_scalar_into`]), the
-    /// differential oracle. Uses a per-thread [`ReadScratch`], so steady-
-    /// state calls allocate nothing beyond `out`'s own growth.
+    /// The run goes through the interleaved, software-prefetched read
+    /// engine (see [`EulerForest::connected_many_with`]) with a per-thread
+    /// [`ReadScratch`], so steady-state calls allocate nothing beyond
+    /// `out`'s own growth.
     pub fn connected_many_into(&self, pairs: &[(u32, u32)], out: &mut Vec<bool>) {
-        if !self.interleaved_reads_enabled() {
-            self.connected_many_scalar_into(pairs, out);
-            return;
-        }
         let mut scratch = READ_SCRATCH.with(|s| s.take());
         self.connected_many_with(pairs, &mut scratch, out);
         READ_SCRATCH.with(|s| s.set(scratch));
     }
 
-    /// The scalar bulk read path: per-endpoint [`EulerForest::
-    /// resolve_root_validated`] climbs into a sorted memo, no interleaving,
-    /// no prefetch. Kept verbatim as the differential oracle the
-    /// interleaved engine is tested against (and as a bench cell).
-    pub fn connected_many_scalar_into(&self, pairs: &[(u32, u32)], out: &mut Vec<bool>) {
-        out.reserve(pairs.len());
-        // Tiny runs: the memo costs more than it saves.
-        if pairs.len() < 4 {
-            for &(u, v) in pairs {
-                out.push(u == v || self.connected(u, v));
-            }
-            return;
-        }
-        let mut endpoints: Vec<u32> = Vec::with_capacity(pairs.len() * 2);
-        for &(u, v) in pairs {
-            endpoints.push(u);
-            endpoints.push(v);
-        }
-        endpoints.sort_unstable();
-        endpoints.dedup();
-        let mut memo: Vec<(u32, u64)> = endpoints
-            .iter()
-            .map(|&e| self.resolve_root_validated(e))
-            .collect();
-        let index = |x: u32| {
-            endpoints
-                .binary_search(&x)
-                .expect("endpoint collected above")
-        };
-        for &(u, v) in pairs {
-            if u == v {
-                out.push(true);
-                continue;
-            }
-            let (iu, iv) = (index(u), index(v));
-            loop {
-                let (ru, ver_u) = memo[iu];
-                let (rv, ver_v) = memo[iv];
-                // The same sandwich as `connected_resolve`, against the
-                // full 64-bit versions the memo carries.
-                let valid = if ru == rv {
-                    ver_u == ver_v
-                } else {
-                    self.version_of_vertex(ru) == ver_u
-                        && self.version_of_vertex(rv) == ver_v
-                        && self.version_of_vertex(ru) == ver_u
-                };
-                if valid {
-                    out.push(ru == rv);
-                    break;
-                }
-                memo[iu] = self.resolve_root_validated(u);
-                memo[iv] = self.resolve_root_validated(v);
-            }
-        }
-    }
-
     // ----- the interleaved, prefetched bulk read engine ---------------------
 
-    /// The memory-level-parallelism bulk read path (`DESIGN.md` §10): the
-    /// same memoized protocol as [`EulerForest::connected_many_scalar_into`]
-    /// — and the same answers — but endpoint resolution is restructured so
-    /// independent cache misses overlap instead of serializing:
+    /// The memory-level-parallelism bulk read path (`DESIGN.md` §10): a
+    /// sorted endpoint memo whose entries are validated `(root, version)`
+    /// claims, with endpoint resolution structured so independent cache
+    /// misses overlap instead of serializing:
     ///
     /// 1. **Batched hint validation.** Hint-slot lines are prefetched a
     ///    batch ahead of the loads that consume them, and each decoded
@@ -726,8 +708,8 @@ impl EulerForest {
     ///    in-flight walk advances one parent hop per turn and prefetches
     ///    its next node before the turn passes on, so up to `width` DRAM
     ///    misses are outstanding at once instead of one.
-    /// 3. The per-pair version-sandwich validation, identical to the scalar
-    ///    path.
+    /// 3. The per-pair version-sandwich validation of `connected_resolve`;
+    ///    a pair holding a busy claim is answered by the climbing protocol.
     ///
     /// Prefetching never changes what is *read*, so the Listing-1 /
     /// root-hint safety arguments apply unchanged (`DESIGN.md` §10).
@@ -740,8 +722,7 @@ impl EulerForest {
         out: &mut Vec<bool>,
     ) {
         out.reserve(pairs.len());
-        // Tiny runs: the memo costs more than it saves (same cutoff as the
-        // scalar path).
+        // Tiny runs: the memo costs more than it saves.
         if pairs.len() < 4 {
             for &(u, v) in pairs {
                 out.push(u == v || self.connected(u, v));
@@ -785,6 +766,10 @@ impl EulerForest {
             loop {
                 let (ru, ver_u) = memo[iu];
                 let (rv, ver_v) = memo[iv];
+                if is_busy(ver_u) || is_busy(ver_v) {
+                    out.push(self.connected_climb(u, v));
+                    break;
+                }
                 // The same sandwich as `connected_resolve`, against the
                 // full 64-bit versions the memo carries.
                 let valid = if ru == rv {
@@ -917,7 +902,8 @@ impl EulerForest {
                             let root = self.root_vertex(claim.0);
                             memo[state.slot as usize] = (root, claim.1);
                             if let Some(cache) = hints {
-                                cache.install(
+                                self.install_hint(
+                                    cache,
                                     endpoints[state.slot as usize],
                                     raws[state.slot as usize],
                                     root,
@@ -979,19 +965,6 @@ impl EulerForest {
         if let Some(word) = self.versions.get(root as usize) {
             dc_sync::prefetch_read(word as *const AtomicU64);
         }
-    }
-
-    /// Enables or disables the interleaved bulk read engine (both settings
-    /// answer identically; interleaving is strictly a latency optimization —
-    /// disabled, bulk reads take the scalar memo path, the differential
-    /// oracle).
-    pub fn set_interleaved_reads(&self, enabled: bool) {
-        self.interleaved.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether bulk reads go through the interleaved engine.
-    pub fn interleaved_reads_enabled(&self) -> bool {
-        self.interleaved.load(Ordering::Relaxed)
     }
 
     /// Sets the interleaved engine's in-flight climb count, clamped to
@@ -1056,6 +1029,14 @@ impl EulerForest {
             Some(Some((root, ver32))) => self.version_of_vertex(root) as u32 == ver32,
             _ => false,
         }
+    }
+
+    /// Whether `r` is still a reader-visible component representative (the
+    /// lock-acquisition recheck: lock first, then confirm the component did
+    /// not move).
+    #[inline]
+    pub fn is_current_root(&self, r: NodeRef) -> bool {
+        self.node(r).parent().is_none()
     }
 
     /// Root comparison for callers that already hold the locks covering both
@@ -1139,10 +1120,11 @@ impl EulerForest {
         let rv = self.component_root(v);
         assert_ne!(ru, rv, "link({u}, {v}): endpoints already in the same tree");
 
-        // Update the root versions before any structural change (readers use
-        // them to detect racing modifications).
-        self.bump_root_version(ru);
-        self.bump_root_version(rv);
+        // Mark both representatives busy before any structural change
+        // (readers use the versions to detect racing modifications, and no
+        // claim taken from here on is ever served from the hint cache).
+        self.begin_busy(ru);
+        self.begin_busy(rv);
 
         // The common root after the merge is the higher-priority old root.
         let (hi, lo) = if self.prio_key(ru) > self.prio_key(rv) {
@@ -1155,15 +1137,14 @@ impl EulerForest {
         // here on every node of both trees reaches `hi`.
         self.node(lo).set_parent(hi);
 
-        // `lo` stops being a representative at the store above, so bump it
-        // *again*, after the store: a root-hint claim "(v, lo, version)"
-        // installed by a reader inside the bump→store window was true when
-        // installed, but nothing else would ever move `lo`'s version again
-        // (future ops bump `hi`), so without this bump the claim would keep
-        // validating — and keep answering stale `false`s — forever
-        // (`DESIGN.md` §8; caught by
-        // `forest_concurrent::readers_terminate_under_continuous_writes`).
-        self.bump_root_version(lo);
+        // `lo` stops being a representative at the store above, its last
+        // store, so clear its busy bit. No claim naming `lo` can validate
+        // from here on, although no later operation moves `lo`'s version
+        // (they touch `hi`): claims taken before the first bump died at it,
+        // and claims taken inside the busy window carry the bit and were
+        // never installed (`DESIGN.md` §8; caught by
+        // `root_hints::hint_claims_never_straddle_a_link_or_cut`).
+        self.end_busy(lo);
 
         // Physical merge: rotate both tours to start at the edge endpoints
         // and concatenate them with the two new Euler-tour edge nodes.
@@ -1187,6 +1168,7 @@ impl EulerForest {
             t, hi,
             "merged tour root must be the higher-priority old root"
         );
+        self.end_busy(hi);
     }
 
     /// Physically splits the tour of spanning edge `(u, v)` into the two
@@ -1202,7 +1184,10 @@ impl EulerForest {
             .remove(&key)
             .unwrap_or_else(|| panic!("cut({u}, {v}): not a spanning edge"));
         let old_root = self.writer_root(fwd);
-        self.bump_root_version(old_root);
+        // Readers keep seeing one component rooted at `old_root` throughout
+        // the physical split, but they may walk through its intermediate
+        // states: the split runs inside a busy window.
+        self.begin_busy(old_root);
 
         // Split the tour around the two directed edge nodes. `fwd` is the
         // min->max node; it may appear before or after `bwd` in the tour.
@@ -1236,6 +1221,7 @@ impl EulerForest {
             debug_assert_eq!(t_inner, old_root);
             (t_inner, t_outer)
         };
+        self.end_busy(old_root);
         PreparedCut {
             retained_root,
             detached_root,
@@ -1253,21 +1239,19 @@ impl EulerForest {
     /// parent is cleared, no reachable parent pointer references them any
     /// more, so they only need to outlive the readers pinned right now.
     pub fn commit_cut(&self, cut: &PreparedCut) {
-        // The detached root becomes a component representative; give it a
-        // fresh version first so readers that race with the very next
-        // modification of the new component still detect the change.
-        self.bump_root_version(cut.detached_root);
+        // Both roots go busy before the split store and leave it after:
+        // claims taken in the prepared window on the retained root ("v roots
+        // at retained_root", true while the pieces were one component) die
+        // at the first bump, and claims taken across the store carry the
+        // busy bit, so no pair of them can straddle the split (`DESIGN.md`
+        // §8; pinned by `crates/ett/tests/root_hints.rs`). The detached
+        // root's bumps also give it a fresh version, so readers racing with
+        // the very next modification of the new component detect it.
+        self.begin_busy(cut.retained_root);
+        self.begin_busy(cut.detached_root);
         self.node(cut.detached_root).set_parent(NodeRef::NONE);
-        // The retained root stops representing the detached piece at the
-        // store above, so bump it *after* the store: root-hint claims
-        // "(v, retained_root, version)" installed during the prepared
-        // window (walks from the detached piece still ended at the retained
-        // root — one logical component) were true when installed, but no
-        // future operation of the detached component would ever move the
-        // retained root's version, so without this bump they would keep
-        // validating after the split and answer `connected` wrongly
-        // (`DESIGN.md` §8; pinned by `crates/ett/tests/root_hints.rs`).
-        self.bump_root_version(cut.retained_root);
+        self.end_busy(cut.detached_root);
+        self.end_busy(cut.retained_root);
         self.retire_cut_nodes(cut);
     }
 
@@ -1356,6 +1340,51 @@ impl EulerForest {
         self.node(r).agg_mark(mark)
     }
 
+    /// Visits the vertices of the tree rooted at `root` whose subtree
+    /// carries `mark` (paper Listing 6): subtrees whose aggregate flag is
+    /// clear are skipped entirely, so `f` sees every self-marked vertex and
+    /// possibly some unmarked ones (callers treat a visit as "look at this
+    /// vertex's slots", harmless when empty). Every visited node's aggregate
+    /// is recomputed post-order with the Lemma C.1 re-check.
+    /// `ControlFlow::Break` aborts the walk at once and leaves the pending
+    /// ancestors' aggregates untouched — conservatively raised, the safe
+    /// direction. Writer-side: the caller must be the unique writer of
+    /// `root`'s tree.
+    pub fn visit_marked_vertices(
+        &self,
+        root: NodeRef,
+        mark: Mark,
+        mut f: impl FnMut(u32) -> ControlFlow<()>,
+    ) {
+        let mut stack = WALK_STACK.with(|s| s.take());
+        stack.clear();
+        stack.push((root, false));
+        while let Some((r, children_done)) = stack.pop() {
+            if children_done {
+                // Post-order repair: both children now carry exact flags.
+                self.recalculate_mark(r, mark);
+                continue;
+            }
+            if !self.subtree_has_mark(r, mark) {
+                continue;
+            }
+            if let Some(vertex) = self.node(r).vertex() {
+                if f(vertex).is_break() {
+                    break;
+                }
+            }
+            stack.push((r, true));
+            let node = self.node(r);
+            for child in [node.left(), node.right()] {
+                if child.is_some() {
+                    stack.push((child, false));
+                }
+            }
+        }
+        stack.clear();
+        WALK_STACK.with(|s| s.set(stack));
+    }
+
     // ----- traversal & validation helpers -----------------------------------
 
     /// Collects the vertices of the tree rooted at `root` in tour order
@@ -1389,9 +1418,39 @@ impl EulerForest {
         out
     }
 
-    /// Exhaustively validates the tree rooted at `root`: exact parent
-    /// pointers, the treap heap property, subtree sizes, and Euler-tour
-    /// well-formedness. Panics on violation. Intended for tests.
+    /// Exhaustively validates the tree rooted at `root` in time linear in
+    /// its tour: exact parent pointers, the treap heap property, subtree
+    /// sizes, and Euler-tour well-formedness. Panics on violation. Intended
+    /// for tests and quiescent checks.
+    ///
+    /// Tours are *cyclic* sequences (any rotation is a legal
+    /// linearization), and the tour checks are:
+    ///
+    /// 1. every vertex node appears exactly once;
+    /// 2. every tree edge contributes exactly two tour nodes, oppositely
+    ///    directed, and is the edge the registry holds for its key;
+    /// 3. **nesting** — one stack pass where each edge's second node must
+    ///    close the most recently opened edge, i.e. no two edges' node pairs
+    ///    cross (crossing is a property of chords on a circle, so it does
+    ///    not depend on the rotation the scan starts from);
+    /// 4. **walk continuity** — the head of each element equals the tail of
+    ///    the next, cyclically (a vertex node `(v, v)` has head and tail
+    ///    `v`; an edge node `(a, b)` has tail `a` and head `b`);
+    /// 5. every edge endpoint has its vertex node in this tour, and there is
+    ///    exactly one more vertex than edges.
+    ///
+    /// These imply the *side property*: the vertices strictly between an
+    /// edge's two nodes are exactly one side of the tree split by that edge.
+    /// By 4 and 5 the tour is one closed walk over a connected edge set with
+    /// `|V| - 1` edges on vertex set `V` — a tree, each edge traversed once
+    /// in each direction. Take edge `e` with nodes `(a, b)` and `(b, a)` and
+    /// let `S` be the segment strictly between them, running from `(a, b)`
+    /// towards `(b, a)`. By 4, `S` is a closed walk from `b` to `b`; by 3 it
+    /// uses only edges both of whose nodes lie in `S`, so never `e`; hence
+    /// every vertex node in `S` lies on `b`'s side of `T - e`. The rest of
+    /// the cycle is likewise a closed walk from `a` avoiding `e`, so its
+    /// vertex nodes lie on `a`'s side. Each vertex appears once (1), so `S`
+    /// holds exactly `b`'s side.
     pub fn validate_tree(&self, root: NodeRef) {
         assert!(self.node(root).is_root(), "root lacks is_root flag");
         let mut tour: Vec<NodeRef> = Vec::new();
@@ -1426,94 +1485,79 @@ impl EulerForest {
         }
         assert_eq!(self.node(root).size(), vertex_count, "root size mismatch");
 
-        // Euler-tour well-formedness. Tours are *cyclic* sequences (any
-        // rotation is a legal linearization), so the checks below are phrased
-        // cyclically: every vertex appears exactly once, every tree edge
-        // contributes exactly two oppositely-directed nodes, no two edges'
-        // node pairs cross, and the vertices enclosed by an edge's pair are
-        // exactly one side of the tree split by that edge.
-        let mut seen = std::collections::HashSet::new();
-        let mut edge_positions: std::collections::HashMap<(u32, u32), Vec<usize>> =
+        // Checks 1-3: one pass with the open-edge stack.
+        let mut vertices = std::collections::HashSet::new();
+        let mut first_node: std::collections::HashMap<(u32, u32), NodeRef> =
             std::collections::HashMap::new();
-        let mut vertex_position: std::collections::HashMap<u32, usize> =
-            std::collections::HashMap::new();
-        for (i, &r) in tour.iter().enumerate() {
+        let mut open: Vec<(u32, u32)> = Vec::new();
+        let mut closed = 0usize;
+        for &r in &tour {
             let node = self.node(r);
-            match node.vertex() {
-                Some(v) => {
-                    assert!(seen.insert(v), "vertex {v} appears twice in the tour");
-                    vertex_position.insert(v, i);
-                }
+            if let Some(v) = node.vertex() {
+                assert!(vertices.insert(v), "vertex {v} appears twice in the tour");
+                continue;
+            }
+            let (a, b) = node.endpoints();
+            let key = norm(a, b);
+            match first_node.get(&key) {
                 None => {
-                    let (a, b) = node.endpoints();
-                    edge_positions.entry(norm(a, b)).or_default().push(i);
+                    first_node.insert(key, r);
+                    open.push(key);
+                }
+                Some(&first) => {
+                    assert_eq!(
+                        open.pop(),
+                        Some(key),
+                        "edge pairs of {key:?} and the most recently opened edge cross \
+                         in the tour (or {key:?} has more than two nodes)"
+                    );
+                    assert_eq!(
+                        self.node(first).endpoints(),
+                        (b, a),
+                        "the two nodes of {key:?} must be opposite"
+                    );
+                    let (fwd, bwd) = self
+                        .edge_nodes
+                        .get(&key)
+                        .unwrap_or_else(|| panic!("tour edge {key:?} missing from the registry"));
+                    let (lo_node, hi_node) = if a < b { (r, first) } else { (first, r) };
+                    assert_eq!(
+                        (fwd, bwd),
+                        (lo_node, hi_node),
+                        "registry nodes of {key:?} are not the ones in the tour"
+                    );
+                    closed += 1;
                 }
             }
         }
-        let edges: Vec<(u32, u32)> = edge_positions.keys().copied().collect();
-        for (&edge, positions) in &edge_positions {
+        assert!(
+            open.is_empty(),
+            "tree edges {open:?} contribute only one tour node"
+        );
+        // Check 4: cyclic walk continuity.
+        for (i, &r) in tour.iter().enumerate() {
+            let next = tour[(i + 1) % tour.len()];
+            let head = self.node(r).endpoints().1;
+            let tail = self.node(next).endpoints().0;
             assert_eq!(
-                positions.len(),
-                2,
-                "tree edge {edge:?} must contribute exactly two tour nodes"
-            );
-            let (a, b) = (
-                self.node(tour[positions[0]]).endpoints(),
-                self.node(tour[positions[1]]).endpoints(),
-            );
-            assert_eq!(a, (b.1, b.0), "the two nodes of {edge:?} must be opposite");
-        }
-        // Non-crossing (cyclic nesting): for any two edges, the pair of one
-        // must not interleave with the pair of the other.
-        for i in 0..edges.len() {
-            for j in (i + 1)..edges.len() {
-                let (e1, e2) = (&edge_positions[&edges[i]], &edge_positions[&edges[j]]);
-                let inside = |x: usize| x > e1[0] && x < e1[1];
-                assert_eq!(
-                    inside(e2[0]),
-                    inside(e2[1]),
-                    "edge pairs {:?} and {:?} cross in the tour",
-                    edges[i],
-                    edges[j]
-                );
-            }
-        }
-        // Side correctness: vertices strictly between an edge's two nodes are
-        // exactly one side of the tree with that edge removed.
-        let mut adjacency: std::collections::HashMap<u32, Vec<u32>> =
-            std::collections::HashMap::new();
-        for &(a, b) in &edges {
-            adjacency.entry(a).or_default().push(b);
-            adjacency.entry(b).or_default().push(a);
-        }
-        for &(a, b) in &edges {
-            let positions = &edge_positions[&(a, b)];
-            let inside: std::collections::HashSet<u32> = vertex_position
-                .iter()
-                .filter(|&(_, &p)| p > positions[0] && p < positions[1])
-                .map(|(&v, _)| v)
-                .collect();
-            // BFS one side of the tree without using edge (a, b).
-            let start = if inside.contains(&a) { a } else { b };
-            let mut side = std::collections::HashSet::new();
-            let mut queue = std::collections::VecDeque::new();
-            side.insert(start);
-            queue.push_back(start);
-            while let Some(x) = queue.pop_front() {
-                for &y in adjacency.get(&x).into_iter().flatten() {
-                    if (x == a && y == b) || (x == b && y == a) {
-                        continue;
-                    }
-                    if side.insert(y) {
-                        queue.push_back(y);
-                    }
-                }
-            }
-            assert_eq!(
-                inside, side,
-                "vertices enclosed by edge ({a}, {b}) do not form one side of the tree"
+                head, tail,
+                "tour breaks between {r:?} (head {head}) and {next:?} (tail {tail})"
             );
         }
+        // Check 5: the edge set spans exactly the tour's vertices.
+        for &(a, b) in first_node.keys() {
+            assert!(
+                vertices.contains(&a) && vertices.contains(&b),
+                "edge ({a}, {b}) has an endpoint outside its tour"
+            );
+        }
+        assert_eq!(
+            closed + 1,
+            vertices.len(),
+            "a tour over {} vertices must hold {} edges",
+            vertices.len(),
+            vertices.len().saturating_sub(1)
+        );
     }
 
     /// Validates every tree of the forest (writer-side, quiescent use only).
@@ -1534,5 +1578,144 @@ impl std::fmt::Debug for EulerForest {
             .field("vertices", &self.num_vertices())
             .field("tree_edges", &self.edge_nodes.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A path 0-1-...-5 plus a branch 2-6, so some edge pairs nest.
+    fn sample_tree() -> EulerForest {
+        let f = EulerForest::with_seed(8, 42);
+        for v in 0..5 {
+            f.link(v, v + 1);
+        }
+        f.link(2, 6);
+        f.validate();
+        f
+    }
+
+    fn tour_nodes(f: &EulerForest, root: NodeRef) -> Vec<NodeRef> {
+        let mut tour = Vec::new();
+        f.for_each_in_order(root, &mut |r| tour.push(r));
+        tour
+    }
+
+    /// Runs `validate` and returns its panic message (the test fails if it
+    /// does not panic).
+    fn validate_panic(f: &EulerForest) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f.validate()))
+            .expect_err("validate must reject the corrupted tree");
+        err.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn validate_rejects_a_stale_size() {
+        let f = sample_tree();
+        let root = f.component_root(0);
+        f.node(root).set_size(f.node(root).size() + 1);
+        assert!(validate_panic(&f).contains("size"));
+    }
+
+    #[test]
+    fn validate_rejects_crossing_edge_pairs() {
+        let f = sample_tree();
+        let tour = tour_nodes(&f, f.component_root(0));
+        // Find edges A and B whose pairs nest: a1 < b1 < b2 < a2.
+        let mut positions: std::collections::HashMap<(u32, u32), Vec<usize>> =
+            std::collections::HashMap::new();
+        for (i, &r) in tour.iter().enumerate() {
+            if f.node(r).is_edge_node() {
+                let (a, b) = f.node(r).endpoints();
+                positions.entry(norm(a, b)).or_default().push(i);
+            }
+        }
+        let pairs: Vec<&Vec<usize>> = positions.values().collect();
+        let (outer, inner) = pairs
+            .iter()
+            .flat_map(|a| pairs.iter().map(move |b| (*a, *b)))
+            .find(|(a, b)| a[0] < b[0] && b[1] < a[1])
+            .expect("a tree with a path of length 5 has nested edge pairs");
+        // Swapping the labels of the two closing nodes makes the pairs
+        // a1 < b1 < a2' < b2' — a crossing, with sizes and heap untouched.
+        let (x, y) = (f.node(tour[inner[1]]), f.node(tour[outer[1]]));
+        let (ex, ey) = (x.endpoints(), y.endpoints());
+        x.set_endpoints(ey.0, ey.1);
+        y.set_endpoints(ex.0, ex.1);
+        assert!(validate_panic(&f).contains("cross"));
+    }
+
+    #[test]
+    fn validate_rejects_a_misplaced_vertex_node() {
+        let f = sample_tree();
+        // Swap the labels of two vertex nodes: every vertex still appears
+        // once and every edge pair still nests, but each of the two nodes
+        // now sits where the walk is at the other vertex.
+        let (a, b) = (f.node(f.vertex_node_ref(0)), f.node(f.vertex_node_ref(4)));
+        a.set_endpoints(4, 4);
+        b.set_endpoints(0, 0);
+        assert!(validate_panic(&f).contains("tour breaks"));
+    }
+
+    #[test]
+    fn basic_link_cut_and_edge_walk() {
+        let f = EulerForest::with_seed(8, 42);
+        assert_eq!(f.num_vertices(), 8);
+        assert!(!f.connected(0, 2));
+        f.link(0, 1);
+        f.link(1, 2);
+        assert!(f.connected(0, 2));
+        assert!(f.has_tree_edge(0, 1));
+        assert_eq!(f.num_tree_edges(), 2);
+        assert_eq!(f.component_size(0), 3);
+        let root = f.find_root_node(0);
+        assert!(f.is_current_root(root));
+        assert_eq!(f.find_root_node(2), root);
+        f.cut(1, 2);
+        assert!(!f.connected(0, 2));
+        let mut edges = Vec::new();
+        f.for_each_tree_edge(|u, v| edges.push((u, v)));
+        assert_eq!(edges, vec![(0, 1)]);
+        f.validate();
+    }
+
+    #[test]
+    fn marked_visit_reaches_self_marked_vertices() {
+        let f = EulerForest::with_seed(6, 7);
+        f.link(0, 1);
+        f.link(1, 2);
+        f.link(2, 3);
+        f.mark_path_upward(2, Mark::NonSpanning);
+        let root = f.component_root(0);
+        let mut seen = Vec::new();
+        f.visit_marked_vertices(root, Mark::NonSpanning, |v| {
+            seen.push(v);
+            ControlFlow::Continue(())
+        });
+        assert!(seen.contains(&2), "marked vertex must be visited: {seen:?}");
+        // Break aborts immediately.
+        let mut visits = 0;
+        f.visit_marked_vertices(root, Mark::NonSpanning, |_| {
+            visits += 1;
+            ControlFlow::Break(())
+        });
+        assert_eq!(visits, 1);
+    }
+
+    #[test]
+    fn versions_are_even_between_operations() {
+        let f = EulerForest::with_seed(4, 1);
+        f.link(0, 1);
+        f.link(1, 2);
+        let cut = f.prepare_cut(0, 1);
+        f.commit_cut(&cut);
+        for v in 0..4 {
+            let (_, version) = f.find_root(v);
+            assert!(!is_busy(version), "vertex {v}: root left busy");
+        }
     }
 }

@@ -17,14 +17,15 @@
 //! was `version`".  Readers install hints only from snapshots validated by
 //! the paper's Listing-1 retry protocol (see
 //! [`crate::forest::EulerForest::connected`]), so every published claim is
-//! true.  Validation is then a single load: because writers bump a root's
-//! version *before* any structural change to its component and versions are
-//! monotone, "the hinted root's current version still equals the recorded
-//! one" implies the component is unchanged since the snapshot instant — so
-//! the hinted root is *still* `v`'s root, with no tree traversal at all.
-//! The full safety argument, including the linearizability sandwich for
-//! two-vertex queries and the 32-bit wraparound caveat, lives in
-//! `DESIGN.md` §8.
+//! true.  Validation is then a single load: writers keep bit 0 of a root's
+//! version set (busy) from before their first structural store on the
+//! component until after their last, the forest never installs or accepts
+//! a busy claim, and versions are monotone — so "the hinted root's current
+//! version still equals the recorded, non-busy one" implies no operation
+//! deposed the root since the snapshot instant, and the hinted root is
+//! *still* `v`'s root, with no tree traversal at all.  The full safety
+//! argument, including the linearizability sandwich for two-vertex queries
+//! and the 32-bit wraparound caveat, lives in `DESIGN.md` §8.
 //!
 //! The cache is strictly an accelerator: a miss (empty slot, stale version,
 //! or a disabled cache) falls back to the climb, and any thread may

@@ -44,14 +44,10 @@
 pub mod arena;
 pub mod forest;
 pub mod hints;
-pub mod lct;
 pub mod node;
-pub mod traits;
 mod treap;
 
 pub use arena::{ArenaExhausted, NodeRef};
 pub use forest::{EulerForest, PreparedCut, ReadScratch, MAX_INTERLEAVE_WIDTH};
 pub use hints::{default_read_hints, set_default_read_hints, HintCache};
-pub use lct::{LctForest, PreparedLctCut};
 pub use node::{Mark, Node};
-pub use traits::DynamicForest;

@@ -86,6 +86,9 @@ fn warm_bulk_reads_do_not_allocate() {
 
     let mut scratch = dc_ett::ReadScratch::new();
     let mut out: Vec<bool> = Vec::new();
+    // The reference answers come from the paper's Listing-1 climb: per-pair
+    // `connected` with the hint cache off.
+    forest.set_read_hints(false);
     let mut expected: Vec<bool> = Vec::new();
     expected.extend(pairs.iter().map(|&(u, v)| forest.connected(u, v)));
 

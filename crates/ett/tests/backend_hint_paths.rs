@@ -1,6 +1,5 @@
-//! Backend-generic hint-miss path coverage: exact counter accounting for
-//! the branches of `resolve_root_validated` (`DESIGN.md` §8), run against
-//! both [`DynamicForest`] backends.
+//! Hint-miss path coverage: exact counter accounting for the branches of
+//! `EulerForest::resolve_root_validated` (`DESIGN.md` §8).
 //!
 //! Three branches matter:
 //!
@@ -15,69 +14,69 @@
 //!   only fires under concurrency, so it is pinned by total accounting:
 //!   `hits + misses` must equal the number of resolutions performed.
 
-use dc_ett::{DynamicForest, EulerForest, LctForest};
+use dc_ett::EulerForest;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-fn absent_hint_misses_once_then_primes<F: DynamicForest>() {
-    let forest = F::with_seed(8, 0);
+#[test]
+fn absent_hint_misses_once_then_primes() {
+    let forest = EulerForest::with_seed(8, 0);
     forest.set_read_hints(true);
-    let backend = F::BACKEND;
     forest.link(0, 1);
     assert_eq!(
         forest.read_hint_stats(),
         (0, 0),
-        "{backend}: writer ops must not touch the read counters"
+        "writer ops must not touch the read counters"
     );
     // Cold endpoints: one miss per resolution, both slots primed.
     assert!(forest.connected(0, 1));
-    assert_eq!(forest.read_hint_stats(), (0, 2), "{backend}: cold query");
-    assert!(forest.hint_valid(0), "{backend}: miss must prime the slot");
-    assert!(forest.hint_valid(1), "{backend}: miss must prime the slot");
+    assert_eq!(forest.read_hint_stats(), (0, 2), "cold query");
+    assert!(forest.hint_valid(0), "miss must prime the slot");
+    assert!(forest.hint_valid(1), "miss must prime the slot");
     // Warm repeat: two hits, zero new misses.
     assert!(forest.connected(1, 0));
-    assert_eq!(forest.read_hint_stats(), (2, 2), "{backend}: warm query");
+    assert_eq!(forest.read_hint_stats(), (2, 2), "warm query");
 }
 
-fn one_sided_stale_counts_one_hit_one_miss<F: DynamicForest>() {
-    let forest = F::with_seed(16, 0);
+#[test]
+fn one_sided_stale_counts_one_hit_one_miss() {
+    let forest = EulerForest::with_seed(16, 0);
     forest.set_read_hints(true);
-    let backend = F::BACKEND;
     // Component A: {0, 1}; component B: {2, 3}. Prime all four slots.
     forest.link(0, 1);
     forest.link(2, 3);
     assert!(forest.connected(0, 1));
     assert!(forest.connected(2, 3));
     let (h0, m0) = forest.read_hint_stats();
-    assert_eq!((h0, m0), (0, 4), "{backend}: priming");
+    assert_eq!((h0, m0), (0, 4), "priming");
 
     // Structural change in B only: B's root version bumps, A's survives.
     forest.link(3, 4);
-    assert!(forest.hint_valid(0), "{backend}: A's hint must survive");
-    assert!(forest.hint_valid(1), "{backend}: A's hint must survive");
-    assert!(!forest.hint_valid(2), "{backend}: B's hint must go stale");
+    assert!(forest.hint_valid(0), "A's hint must survive");
+    assert!(forest.hint_valid(1), "A's hint must survive");
+    assert!(!forest.hint_valid(2), "B's hint must go stale");
 
     // The straddling query: endpoint 0 hits, endpoint 2 misses — exactly.
     assert!(!forest.connected(0, 2));
     assert_eq!(
         forest.read_hint_stats(),
         (h0 + 1, m0 + 1),
-        "{backend}: one-sided-stale must record exactly one hit and one miss"
+        "one-sided-stale must record exactly one hit and one miss"
     );
-    assert!(forest.hint_valid(2), "{backend}: the miss must reprime");
+    assert!(forest.hint_valid(2), "the miss must reprime");
 
     // And the reprimed pair now answers from hits alone.
     assert!(!forest.connected(0, 2));
     assert_eq!(
         forest.read_hint_stats(),
         (h0 + 3, m0 + 1),
-        "{backend}: reprimed pair must hit on both sides"
+        "reprimed pair must hit on both sides"
     );
 }
 
-fn resolve_accounting_stays_exact_under_churn<F: DynamicForest>() {
-    let forest = F::with_seed(32, 0);
+#[test]
+fn resolve_accounting_stays_exact_under_churn() {
+    let forest = EulerForest::with_seed(32, 0);
     forest.set_read_hints(true);
-    let backend = F::BACKEND;
     // Stable path 16..31 gives the readers something to hit; the churned
     // half 0..15 forces stale hints and double-walk retries.
     for v in 16..31 {
@@ -122,40 +121,10 @@ fn resolve_accounting_stays_exact_under_churn<F: DynamicForest>() {
     assert_eq!(
         hits + misses,
         reader_resolutions,
-        "{backend}: every resolution records exactly one hit or one miss, \
+        "every resolution records exactly one hit or one miss, \
          retries included"
     );
-    assert!(misses > 0, "{backend}: the churn must force misses");
-    assert!(hits > 0, "{backend}: the stable half must produce hits");
+    assert!(misses > 0, "the churn must force misses");
+    assert!(hits > 0, "the stable half must produce hits");
     forest.validate();
-}
-
-#[test]
-fn absent_hint_misses_once_then_primes_on_ett() {
-    absent_hint_misses_once_then_primes::<EulerForest>();
-}
-
-#[test]
-fn absent_hint_misses_once_then_primes_on_lct() {
-    absent_hint_misses_once_then_primes::<LctForest>();
-}
-
-#[test]
-fn one_sided_stale_counts_one_hit_one_miss_on_ett() {
-    one_sided_stale_counts_one_hit_one_miss::<EulerForest>();
-}
-
-#[test]
-fn one_sided_stale_counts_one_hit_one_miss_on_lct() {
-    one_sided_stale_counts_one_hit_one_miss::<LctForest>();
-}
-
-#[test]
-fn resolve_accounting_stays_exact_under_churn_on_ett() {
-    resolve_accounting_stays_exact_under_churn::<EulerForest>();
-}
-
-#[test]
-fn resolve_accounting_stays_exact_under_churn_on_lct() {
-    resolve_accounting_stays_exact_under_churn::<LctForest>();
 }

@@ -225,3 +225,69 @@ fn concurrent_readers_stay_exact_while_another_component_churns() {
     );
     forest.validate();
 }
+
+/// Regression probe for the busy bit (`DESIGN.md` §8). One writer toggles a
+/// bridge `link(3, 12)` / `cut(3, 12)` between two fixed paths while three
+/// readers query pairs inside each path, which are connected throughout.
+///
+/// Without the busy bit, a hint claim `(lo, x)` taken after `link`'s rule-1
+/// bump but before its merge store kept validating until the rule-2 bump;
+/// a reader preempted into that window paired it with a fresh claim on the
+/// merged root and answered `connected(2, 6) == false` (and `commit_cut` had
+/// the mirror window for `true`). The readers also check the bridge pair
+/// against a phase word the writer publishes around each operation: a query
+/// that starts and ends inside one quiet phase must see that phase's state.
+#[test]
+fn hint_claims_never_straddle_a_link_or_cut() {
+    use std::sync::atomic::AtomicU64;
+    const TOGGLES: u64 = 150_000;
+    let forest = forest(16);
+    for v in 0..7 {
+        forest.link(v, v + 1);
+    }
+    for v in 12..15 {
+        forest.link(v, v + 1);
+    }
+    // phase % 4: 0 = bridge absent, 1 = linking, 2 = bridge present,
+    // 3 = cutting.
+    let phase = AtomicU64::new(0);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        for reader in 0..3u32 {
+            let (forest, phase, stop) = (&forest, &phase, &stop);
+            s.spawn(move || {
+                let mut out = Vec::with_capacity(8);
+                while !stop.load(Ordering::Relaxed) {
+                    assert!(forest.connected(2, 6), "reader {reader}: path 0-7 split");
+                    assert!(
+                        forest.connected(13, 15),
+                        "reader {reader}: path 12-15 split"
+                    );
+                    let before = phase.load(Ordering::SeqCst);
+                    let bridged = forest.connected(1, 14);
+                    let after = phase.load(Ordering::SeqCst);
+                    if before == after && before % 2 == 0 {
+                        assert_eq!(
+                            bridged,
+                            before % 4 == 2,
+                            "reader {reader}: bridge answer contradicts quiet phase {before}"
+                        );
+                    }
+                    out.clear();
+                    forest.connected_many_into(&[(2, 6), (6, 2), (0, 7), (12, 15)], &mut out);
+                    assert_eq!(out, [true; 4], "reader {reader}: bulk read split a path");
+                }
+            });
+        }
+        for _ in 0..TOGGLES {
+            phase.fetch_add(1, Ordering::SeqCst);
+            forest.link(3, 12);
+            phase.fetch_add(1, Ordering::SeqCst);
+            phase.fetch_add(1, Ordering::SeqCst);
+            forest.cut(3, 12);
+            phase.fetch_add(1, Ordering::SeqCst);
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    forest.validate();
+}

@@ -10,10 +10,8 @@
 //! * [`graph`] — graph types, synthetic generators and dataset loaders;
 //! * [`sync`] — the concurrency substrates (sharded map, flat adjacency
 //!   store, combining executor, raw locks, wait-time accounting);
-//! * [`ett`] — the pluggable forest backends behind the [`DynamicForest`]
-//!   trait: the single-writer, multi-reader concurrent Euler Tour Tree
-//!   (paper Section 3) and the concurrent-hardened link-cut tree
-//!   (`DESIGN.md` §12);
+//! * [`ett`] — the single-writer, multi-reader concurrent Euler Tour Tree
+//!   forest (paper Section 3) under every level of the HDT structure;
 //! * [`dynconn`] — the HDT-based dynamic connectivity core and all thirteen
 //!   algorithm variants of the paper's evaluation (paper Section 4), with
 //!   the version-validated root-hint cache that makes repeat queries on
@@ -78,10 +76,9 @@ pub use dynconn;
 
 pub use dc_batch::{BatchEngine, EngineError, WaitPolicy};
 pub use dc_durable::{DurableConnectivity, DurableOptions, FsyncPolicy};
-pub use dc_ett::{set_default_read_hints, DynamicForest, EulerForest, LctForest};
+pub use dc_ett::{set_default_read_hints, EulerForest};
 pub use dc_graph::{Edge, Graph};
 pub use dc_workloads::{Topology, Trace, WorkloadSpec};
 pub use dynconn::{
-    BatchConnectivity, BatchOp, DynamicConnectivity, ForestBackend, Hdt, QueryResult,
-    RecomputeOracle, Variant,
+    BatchConnectivity, BatchOp, DynamicConnectivity, Hdt, QueryResult, RecomputeOracle, Variant,
 };

@@ -1,8 +1,8 @@
 //! The cross-layer chaos soak (`DESIGN.md` §13): seed-driven faults from
 //! `dc_faults` — leader panics before apply and after commit, arena
 //! allocation failures, intake stalls, delayed epoch advances — thrown at
-//! the batch engine on **both** forest backends, differentially checked
-//! against a [`RecomputeOracle`] over every acknowledged operation.
+//! the batch engine, differentially checked against a [`RecomputeOracle`]
+//! over every acknowledged operation.
 //!
 //! What "surviving chaos" means, concretely:
 //!
@@ -13,7 +13,11 @@
 //!   drained and excluded on both sides);
 //! * **typed failure, never corruption** — after a poisoning panic every
 //!   door fails fast with `EngineError::Poisoned` and the poison note names
-//!   the injected panic.
+//!   the injected panic;
+//! * **a valid structure at every quiescent point** — `Hdt::validate` runs
+//!   every [`VALIDATE_EVERY`] acknowledged operations and at the end of
+//!   every round, poisoned or not (the injected panics fire before apply
+//!   or after commit, never inside the level structure).
 //!
 //! The schedules are deterministic (xorshift over the seed, fixed check
 //! ordinals), so this soak never flakes: the same faults fire at the same
@@ -22,9 +26,7 @@
 use concurrent_dynamic_connectivity::faults::{
     self as dc_faults, ChaosConfig, ChaosSchedule, InjectionPoint,
 };
-use concurrent_dynamic_connectivity::{
-    BatchEngine, DynamicForest, EngineError, EulerForest, LctForest, RecomputeOracle, WaitPolicy,
-};
+use concurrent_dynamic_connectivity::{BatchEngine, EngineError, RecomputeOracle, WaitPolicy};
 use dynconn::DynamicConnectivity;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,7 +37,9 @@ use std::time::Duration;
 
 const N: usize = 32;
 const OPS_PER_ROUND: usize = 500;
-const SEEDS_PER_BACKEND: u64 = 16;
+/// The soak's seeds: two blocks of sixteen fault schedules.
+const SEEDS: [std::ops::RangeInclusive<u64>; 2] = [1..=16, 1001..=1016];
+const VALIDATE_EVERY: usize = 50;
 const ROUND_DEADLINE: Duration = Duration::from_secs(60);
 
 /// Per-round fault budget: one of each panic (only one can fire — the first
@@ -91,9 +95,9 @@ struct SoakTally {
 /// lockstep, chaos installed for the duration. Single-driver on purpose —
 /// it makes "the acked prefix" exact, so agreement can be asserted op by
 /// op. (Concurrent waiter release is covered by the engine's own tests.)
-fn soak_round<F: DynamicForest>(seed: u64, tally: &mut SoakTally) {
+fn soak_round(seed: u64, tally: &mut SoakTally) {
     let schedule = round_schedule(seed);
-    let mut engine = BatchEngine::<F>::with_options_on(N, 64, 2);
+    let mut engine = BatchEngine::with_options(N, 64, 2);
     // A bounded wait would only ever fire against a wedged leadership;
     // reaching it is a hang, and the deadline types it out as such.
     engine.set_wait_policy(WaitPolicy::with_deadline(Duration::from_secs(5)));
@@ -103,7 +107,7 @@ fn soak_round<F: DynamicForest>(seed: u64, tally: &mut SoakTally) {
     let mut poisoned = false;
 
     dc_faults::install(Arc::clone(&schedule));
-    for _ in 0..OPS_PER_ROUND {
+    for op in 1..=OPS_PER_ROUND {
         let kind = rng.gen_range(0u32..10);
         let outcome: Result<(), EngineError> = if kind < 4 || present.is_empty() {
             // Effective add: an absent, non-loop edge.
@@ -153,6 +157,9 @@ fn soak_round<F: DynamicForest>(seed: u64, tally: &mut SoakTally) {
             }
         };
         match outcome {
+            // The single driver's operation has been acknowledged, so no
+            // batch is in flight: a quiescent point.
+            Ok(()) if op % VALIDATE_EVERY == 0 => engine.hdt().validate(),
             Ok(()) => {}
             Err(EngineError::Poisoned) => {
                 poisoned = true;
@@ -189,6 +196,7 @@ fn soak_round<F: DynamicForest>(seed: u64, tally: &mut SoakTally) {
             }
         }
     }
+    engine.hdt().validate();
     for point in InjectionPoint::ALL {
         tally.fired[point as usize] += schedule.fired(point);
     }
@@ -216,53 +224,37 @@ fn with_deadline(
 }
 
 #[test]
-fn chaos_soak_differential_both_backends() {
+fn chaos_soak_differential() {
     silence_chaos_panics();
     let _guard = dc_faults::test_guard();
 
-    let ett = with_deadline("ett", || {
+    let tally = with_deadline("rounds", || {
         let mut tally = SoakTally::default();
-        for seed in 1..=SEEDS_PER_BACKEND {
-            soak_round::<EulerForest>(seed, &mut tally);
-        }
-        tally
-    });
-    let lct = with_deadline("lct", || {
-        let mut tally = SoakTally::default();
-        for seed in 1..=SEEDS_PER_BACKEND {
-            soak_round::<LctForest>(1000 + seed, &mut tally);
+        for seed in SEEDS.into_iter().flatten() {
+            soak_round(seed, &mut tally);
         }
         tally
     });
 
-    let total_fired: u64 = ett.fired.iter().sum::<u64>() + lct.fired.iter().sum::<u64>();
+    let total_fired: u64 = tally.fired.iter().sum();
     let per_point: Vec<String> = InjectionPoint::ALL
         .iter()
-        .map(|&p| {
-            format!(
-                "{}={}",
-                p.name(),
-                ett.fired[p as usize] + lct.fired[p as usize]
-            )
-        })
+        .map(|&p| format!("{}={}", p.name(), tally.fired[p as usize]))
         .collect();
     eprintln!(
-        "chaos soak: {} rounds, {} faults fired ({}), {} poisons (ett {}, lct {}), {} capacity rejections",
-        ett.rounds + lct.rounds,
+        "chaos soak: {} rounds, {} faults fired ({}), {} poisons, {} capacity rejections",
+        tally.rounds,
         total_fired,
         per_point.join(", "),
-        ett.poisons + lct.poisons,
-        ett.poisons,
-        lct.poisons,
-        ett.rejections + lct.rejections,
+        tally.poisons,
+        tally.rejections,
     );
 
     // The acceptance bar: a real soak, not a smoke — at least 50 injected
-    // faults across the two backends, every backend poisoned at least once,
-    // and both panic points plus both recoverable points exercised.
+    // faults, at least one poisoned round, and both panic points plus both
+    // recoverable points exercised.
     assert!(total_fired >= 50, "only {total_fired} faults fired");
-    assert!(ett.poisons >= 1, "no ETT round was ever poisoned");
-    assert!(lct.poisons >= 1, "no LCT round was ever poisoned");
+    assert!(tally.poisons >= 1, "no round was ever poisoned");
     for &point in &[
         InjectionPoint::LeaderPanicBeforeApply,
         InjectionPoint::LeaderPanicAfterCommit,
@@ -270,7 +262,7 @@ fn chaos_soak_differential_both_backends() {
         InjectionPoint::IntakeStall,
     ] {
         assert!(
-            ett.fired[point as usize] + lct.fired[point as usize] >= 1,
+            tally.fired[point as usize] >= 1,
             "injection point {} never fired",
             point.name()
         );

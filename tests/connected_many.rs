@@ -1,6 +1,6 @@
 //! Differential tests of the bulk read path (`connected_many`) — the
-//! interleaved, prefetched engine against the scalar memo oracle, per-pair
-//! `connected`, and the BFS recompute oracle.
+//! interleaved, prefetched engine against scalar per-pair `connected` with
+//! hints off (the paper's Listing-1 climb) and the BFS recompute oracle.
 //!
 //! Covers the edge cases the batched protocol must not trip over:
 //!
@@ -21,18 +21,17 @@ use dynconn::{Hdt, RecomputeOracle};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Every bulk-read configuration under test: the scalar oracle path plus
-/// the interleaved engine at the width extremes and the default.
+/// Interleave widths under test: the extremes and the default.
 const WIDTHS: [usize; 4] = [1, 5, 8, 16];
 
 /// Runs `pairs` through every bulk configuration of `hdt` and asserts each
-/// answer list against per-pair `connected` (itself trusted via the
-/// differential suites of `tests/oracle_all_variants.rs`).
+/// answer list against per-pair `connected` with hints off — the Listing-1
+/// climb, itself trusted via the differential suites of
+/// `tests/oracle_all_variants.rs`.
 fn assert_all_engines_match(hdt: &Hdt, pairs: &[(u32, u32)], context: &str) {
+    hdt.set_read_hints(false);
     let expected: Vec<bool> = pairs.iter().map(|&(u, v)| hdt.connected(u, v)).collect();
     let mut got = Vec::new();
-    hdt.connected_many_scalar(pairs, &mut got);
-    assert_eq!(got, expected, "{context}: scalar path diverged");
     for &hints in &[false, true] {
         hdt.set_read_hints(hints);
         for &width in &WIDTHS {
@@ -104,9 +103,10 @@ const CHURN: u32 = 24;
 /// churned, so bulk answers about it are deterministic at every instant.
 const STABLE: u32 = 8;
 
-/// Readers bulk-query pairs that straddle a bridge the writer keeps
-/// cutting: deterministic sub-answers are asserted mid-churn, racing ones
-/// after quiescence, interleaved vs scalar vs the recompute oracle.
+/// Readers query pairs that straddle a bridge the writer keeps cutting, one
+/// through the interleaved bulk engine and one pair by pair through scalar
+/// `connected`: deterministic sub-answers are asserted mid-churn, racing
+/// ones after quiescence against the recompute oracle.
 #[test]
 fn interleaved_agrees_with_scalar_under_concurrent_cuts() {
     let n = (CHURN + STABLE) as usize;
@@ -160,13 +160,13 @@ fn interleaved_agrees_with_scalar_under_concurrent_cuts() {
                         ((rand() % 12) as u32, straddle_b), // more racing traffic
                         (straddle_a, 12 + (rand() % 12) as u32),
                     ];
-                    // Alternate engines so interleaved and scalar both run
-                    // against the same churn.
+                    // One reader per door, so the bulk engine and scalar
+                    // per-pair reads both run against the same churn.
                     out.clear();
                     if t == 0 {
                         hdt.connected_many(&pairs, &mut out);
                     } else {
-                        hdt.connected_many_scalar(&pairs, &mut out);
+                        out.extend(pairs.iter().map(|&(u, v)| hdt.connected(u, v)));
                     }
                     assert!(out[0], "self-pair answered false");
                     assert!(out[1], "stable path split");
@@ -204,9 +204,14 @@ fn interleaved_agrees_with_scalar_under_concurrent_cuts() {
     }
     let expected: Vec<bool> = pairs.iter().map(|&(u, v)| oracle.connected(u, v)).collect();
     let mut got = Vec::new();
-    hdt.connected_many_scalar(&pairs, &mut got);
-    assert_eq!(got, expected, "scalar diverged from the oracle after churn");
     for &hints in &[false, true] {
+        hdt.set_read_hints(hints);
+        got.clear();
+        got.extend(pairs.iter().map(|&(u, v)| hdt.connected(u, v)));
+        assert_eq!(
+            got, expected,
+            "per-pair connected (hints={hints}) diverged from the oracle after churn"
+        );
         hdt.set_read_hints(hints);
         for &width in &WIDTHS {
             hdt.set_interleave_width(width);
@@ -277,8 +282,6 @@ proptest! {
         }
         let expected: Vec<bool> = pairs.iter().map(|&(u, v)| oracle.connected(u, v)).collect();
         let mut got = Vec::new();
-        hdt.connected_many_scalar(&pairs, &mut got);
-        prop_assert_eq!(&got, &expected, "scalar path diverged from the oracle");
         for &hints in &[false, true] {
             hdt.set_read_hints(hints);
             for &width in &WIDTHS {

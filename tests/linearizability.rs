@@ -322,3 +322,19 @@ fn nonblocking_coarse_histories_are_linearizable() {
         run_round(Variant::OurAlgorithmCoarse, 6, 3, 5, 6000 + round);
     }
 }
+
+/// Every shipped variant, variant 14 included through its single-op
+/// adapter door: the per-variant tests above run more rounds on the
+/// headline combinations, this one makes sure none is left unchecked.
+#[test]
+fn every_extended_variant_history_is_linearizable() {
+    dc_batch::register_variant();
+    let variants = Variant::all_extended();
+    assert_eq!(variants.len(), 14);
+    for variant in variants {
+        let base = 7000 + 100 * u64::from(variant.paper_number());
+        for round in 0..10 {
+            run_round(variant, 6, 3, 4, base + round);
+        }
+    }
+}

@@ -1,39 +1,29 @@
 //! Sequential oracle comparison for every algorithm variant of the paper's
-//! evaluation (Section 5.2), on every forest backend.
+//! evaluation (Section 5.2).
 //!
-//! The variant registry is crossed with [`ForestBackend::all()`]: the ETT
-//! backend runs all fourteen variants (thirteen paper combinations plus the
-//! batch engine), the LCT backend runs the globally-serialized-writer subset
-//! it supports (`Variant::supports_backend`, `DESIGN.md` §12). Each built
-//! instance is driven through the same randomized operation sequences as a
+//! All fourteen variants (thirteen paper combinations plus the batch
+//! engine) are driven through the same randomized operation sequences as a
 //! breadth-first-search oracle ([`dynconn::RecomputeOracle`]); every
-//! `connected` answer must agree, and failures name both the variant and the
-//! backend. The sequences are generated over several graph shapes that
+//! `connected` answer must agree, and failures name the variant. The
+//! sequences are generated over several graph shapes that
 //! mirror the paper's Table 1 catalog: sparse (|E| = |V|), dense
 //! (|E| = |V|·log|V|), multi-component, and path/star-like adversarial
 //! shapes.
 
-use concurrent_dynamic_connectivity::{DynamicConnectivity, ForestBackend, Variant};
+use concurrent_dynamic_connectivity::{DynamicConnectivity, Variant};
 use dynconn::RecomputeOracle;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Builds every `(variant, backend)` combination the registry supports over
-/// `n` vertices, labelled `variant@backend` for failure messages. The batch
-/// engine is registered first (idempotent) so variant 14 participates on
-/// both backends.
-fn backend_variants(n: usize) -> Vec<(Box<dyn DynamicConnectivity>, String)> {
+/// Builds every variant over `n` vertices, labelled by name for failure
+/// messages. The batch engine is registered first (idempotent) so variant
+/// 14 participates.
+fn all_variants(n: usize) -> Vec<(Box<dyn DynamicConnectivity>, String)> {
     dc_batch::register_variant();
-    let mut out = Vec::new();
-    for &backend in ForestBackend::all() {
-        for variant in Variant::all_for_backend(backend) {
-            out.push((
-                variant.build_with(n, backend),
-                format!("{}@{}", variant.name(), backend.label()),
-            ));
-        }
-    }
-    out
+    Variant::all_extended()
+        .into_iter()
+        .map(|variant| (variant.build(n), variant.name().to_string()))
+        .collect()
 }
 
 /// Drives `dc` and `oracle` through `ops` random operations over `n`
@@ -140,33 +130,17 @@ fn path_with_chords_pool(n: u32) -> Vec<(u32, u32)> {
 }
 
 #[test]
-fn registry_covers_both_backends() {
-    dc_batch::register_variant();
-    let ett = Variant::all_for_backend(ForestBackend::Ett);
-    let lct = Variant::all_for_backend(ForestBackend::Lct);
-    assert_eq!(
-        ett.len(),
-        14,
-        "ETT runs every variant incl. the batch engine"
-    );
-    assert!(lct.contains(&Variant::CoarseNonBlockingReads));
-    assert!(lct.contains(&Variant::BatchEngine));
-    for variant in Variant::all() {
-        assert!(variant.supports_backend(ForestBackend::Ett));
-        assert_eq!(
-            lct.contains(variant),
-            variant.supports_backend(ForestBackend::Lct),
-            "{}",
-            variant.name()
-        );
-    }
+fn registry_covers_all_fourteen_variants() {
+    let labels: Vec<String> = all_variants(8).into_iter().map(|(_, l)| l).collect();
+    assert_eq!(labels.len(), 14, "{labels:?}");
+    assert!(labels.last().is_some_and(|l| l.starts_with("(14)")));
 }
 
 #[test]
 fn all_variants_agree_with_oracle_on_sparse_graph() {
     let n = 64u32;
     let pool = sparse_pool(n, 0xA11CE);
-    for (dc, label) in backend_variants(n as usize) {
+    for (dc, label) in all_variants(n as usize) {
         let oracle = RecomputeOracle::new(n as usize);
         drive(dc.as_ref(), &label, &oracle, n, &pool, 600, 7, 0.35);
     }
@@ -176,7 +150,7 @@ fn all_variants_agree_with_oracle_on_sparse_graph() {
 fn all_variants_agree_with_oracle_on_dense_graph() {
     let n = 48u32;
     let pool = dense_pool(n, 0xD0C5);
-    for (dc, label) in backend_variants(n as usize) {
+    for (dc, label) in all_variants(n as usize) {
         let oracle = RecomputeOracle::new(n as usize);
         drive(dc.as_ref(), &label, &oracle, n, &pool, 600, 11, 0.40);
     }
@@ -186,7 +160,7 @@ fn all_variants_agree_with_oracle_on_dense_graph() {
 fn all_variants_agree_with_oracle_on_multi_component_graph() {
     let n = 80u32;
     let pool = multi_component_pool(n, 5, 0xC0FFEE);
-    for (dc, label) in backend_variants(n as usize) {
+    for (dc, label) in all_variants(n as usize) {
         let oracle = RecomputeOracle::new(n as usize);
         drive(dc.as_ref(), &label, &oracle, n, &pool, 600, 13, 0.45);
         // Cross-block pairs can never be connected.
@@ -198,7 +172,7 @@ fn all_variants_agree_with_oracle_on_multi_component_graph() {
 fn all_variants_agree_with_oracle_on_path_with_chords() {
     let n = 60u32;
     let pool = path_with_chords_pool(n);
-    for (dc, label) in backend_variants(n as usize) {
+    for (dc, label) in all_variants(n as usize) {
         let oracle = RecomputeOracle::new(n as usize);
         // Start fully loaded so early removals hit spanning edges.
         for &(u, v) in &pool {
@@ -214,7 +188,7 @@ fn all_variants_survive_add_remove_cycles_of_the_same_edge() {
     // Repeatedly toggling one spanning edge stresses the status state
     // machine (INITIAL -> SPANNING -> removed -> INITIAL ...) and the root
     // version protocol; the answer must flip in lock step.
-    for (dc, label) in backend_variants(8) {
+    for (dc, label) in all_variants(8) {
         dc.add_edge(0, 1);
         dc.add_edge(2, 3);
         for round in 0..50 {
@@ -232,7 +206,7 @@ fn all_variants_handle_star_center_removal() {
     // the component exactly edge by edge (replacement search never finds a
     // substitute in a tree).
     let n = 40u32;
-    for (dc, label) in backend_variants(n as usize) {
+    for (dc, label) in all_variants(n as usize) {
         for v in 1..n {
             dc.add_edge(0, v);
         }
@@ -255,7 +229,7 @@ fn all_variants_handle_two_cliques_with_a_bridge() {
     // edge between the halves, every clique edge is non-spanning, and the
     // bridge removal must split exactly once (no replacement exists).
     let k = 5u32;
-    for (dc, label) in backend_variants(2 * k as usize) {
+    for (dc, label) in all_variants(2 * k as usize) {
         for a in 0..k {
             for b in (a + 1)..k {
                 dc.add_edge(a, b);

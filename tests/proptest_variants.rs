@@ -2,8 +2,8 @@
 //! dynamic connectivity variants must always agree with the BFS oracle, and
 //! structural invariants must hold at every intermediate point.
 
-use concurrent_dynamic_connectivity::{DynamicConnectivity, ForestBackend, Variant};
-use dc_ett::{EulerForest, LctForest};
+use concurrent_dynamic_connectivity::{DynamicConnectivity, Variant};
+use dc_ett::EulerForest;
 use dynconn::{Hdt, RecomputeOracle, UnionFind};
 use proptest::prelude::*;
 
@@ -24,12 +24,12 @@ fn sym_op(n: u32) -> impl Strategy<Value = SymOp> {
     ]
 }
 
-fn apply_and_compare(variant: Variant, backend: ForestBackend, n: u32, ops: &[SymOp]) {
+fn apply_and_compare(variant: Variant, n: u32, ops: &[SymOp]) {
     if variant == Variant::BatchEngine {
         dc_batch::register_variant();
     }
-    let dc = variant.build_with(n as usize, backend);
-    let label = format!("{}@{}", variant.name(), backend.label());
+    let dc = variant.build(n as usize);
+    let label = variant.name();
     let oracle = RecomputeOracle::new(n as usize);
     for (i, op) in ops.iter().enumerate() {
         match *op {
@@ -42,7 +42,7 @@ fn apply_and_compare(variant: Variant, backend: ForestBackend, n: u32, ops: &[Sy
                 oracle.remove_edge(u, v);
             }
             SymOp::Query(u, v) => {
-                prop_assert_eq_msg(dc.connected(u, v), oracle.connected(u, v), &label, i);
+                prop_assert_eq_msg(dc.connected(u, v), oracle.connected(u, v), label, i);
             }
         }
     }
@@ -75,37 +75,33 @@ proptest! {
     /// The full algorithm (variant 9) matches the oracle on any op sequence.
     #[test]
     fn our_algorithm_matches_oracle(ops in proptest::collection::vec(sym_op(12), 1..120)) {
-        apply_and_compare(Variant::OurAlgorithm, ForestBackend::Ett, 12, &ops);
+        apply_and_compare(Variant::OurAlgorithm, 12, &ops);
     }
 
     /// The plain coarse-grained variant matches the oracle on any op
-    /// sequence, on both forest backends.
+    /// sequence.
     #[test]
     fn coarse_grained_matches_oracle(ops in proptest::collection::vec(sym_op(12), 1..120)) {
-        apply_and_compare(Variant::CoarseGrained, ForestBackend::Ett, 12, &ops);
-        apply_and_compare(Variant::CoarseGrained, ForestBackend::Lct, 12, &ops);
+        apply_and_compare(Variant::CoarseGrained, 12, &ops);
     }
 
     /// The fine-grained + non-blocking-reads variant matches the oracle.
     #[test]
     fn fine_nonblocking_matches_oracle(ops in proptest::collection::vec(sym_op(12), 1..120)) {
-        apply_and_compare(Variant::FineNonBlockingReads, ForestBackend::Ett, 12, &ops);
+        apply_and_compare(Variant::FineNonBlockingReads, 12, &ops);
     }
 
-    /// The combining variants match the oracle, on both forest backends
-    /// (this is the LCT's required lock-free-read variant).
+    /// The flat-combining variant with lock-free reads matches the oracle.
     #[test]
     fn combining_matches_oracle(ops in proptest::collection::vec(sym_op(10), 1..80)) {
-        apply_and_compare(Variant::FlatCombiningNonBlockingReads, ForestBackend::Ett, 10, &ops);
-        apply_and_compare(Variant::FlatCombiningNonBlockingReads, ForestBackend::Lct, 10, &ops);
+        apply_and_compare(Variant::FlatCombiningNonBlockingReads, 10, &ops);
     }
 
-    /// The batch engine matches the oracle on the LCT backend (the LCT's
-    /// required batch-engine variant; the ETT engine is covered by its own
-    /// crate suite).
+    /// The batch engine (variant 14, through its single-op adapter) matches
+    /// the oracle.
     #[test]
-    fn lct_batch_engine_matches_oracle(ops in proptest::collection::vec(sym_op(10), 1..80)) {
-        apply_and_compare(Variant::BatchEngine, ForestBackend::Lct, 10, &ops);
+    fn batch_engine_matches_oracle(ops in proptest::collection::vec(sym_op(10), 1..80)) {
+        apply_and_compare(Variant::BatchEngine, 10, &ops);
     }
 
     /// Incremental-only sequences agree with union-find (a strictly stronger
@@ -138,42 +134,6 @@ proptest! {
         ops in proptest::collection::vec((0u32..16, 0u32..16, proptest::bool::ANY), 1..120)
     ) {
         let forest = EulerForest::new(16);
-        let oracle = RecomputeOracle::new(16);
-        let mut tree_edges: Vec<(u32, u32)> = Vec::new();
-        for &(u, v, add) in &ops {
-            if u == v {
-                continue;
-            }
-            if add {
-                if !forest.connected(u, v) {
-                    forest.link(u, v);
-                    oracle.add_edge(u, v);
-                    tree_edges.push((u, v));
-                }
-            } else if let Some(pos) = tree_edges
-                .iter()
-                .position(|&(a, b)| (a == u && b == v) || (a == v && b == u))
-            {
-                forest.cut(u, v);
-                oracle.remove_edge(u, v);
-                tree_edges.swap_remove(pos);
-            }
-            // Spot-check a pair derived from the operands.
-            let a = (u * 7 + 3) % 16;
-            let b = (v * 5 + 1) % 16;
-            prop_assert_eq!(forest.connected(a, b), oracle.connected(a, b));
-        }
-        forest.validate();
-    }
-
-    /// The link-cut-tree backend keeps `connected` consistent with the same
-    /// reference forest under arbitrary link/cut sequences (mirror of the
-    /// Euler-forest property above, same preconditions).
-    #[test]
-    fn lct_forest_matches_reference_forest(
-        ops in proptest::collection::vec((0u32..16, 0u32..16, proptest::bool::ANY), 1..120)
-    ) {
-        let forest = LctForest::new(16);
         let oracle = RecomputeOracle::new(16);
         let mut tree_edges: Vec<(u32, u32)> = Vec::new();
         for &(u, v, add) in &ops {
