@@ -43,7 +43,8 @@
 //!
 //! Batch leadership is an unwind boundary. A panic anywhere on the leader's
 //! drain → plan → apply → commit-hook path (a structural invariant trip, an
-//! exhausted arena mid-removal, a chaos injection from `dc_faults`) does
+//! exhausted arena mid-removal, a chaos injection from a `dc_faults`
+//! schedule attached with [`BatchEngine::attach_chaos`]) does
 //! *not* propagate into the other waiters' stacks or leave them spinning on
 //! claimed slots: the panicking leadership transitions the engine to a
 //! terminal **poisoned** state, sweeps the intake array releasing every
@@ -62,7 +63,7 @@
 //! half-abandoned operation. See `DESIGN.md` §13 for the failure model.
 
 use crate::plan::UpdatePlan;
-use dc_faults::InjectionPoint;
+use dc_faults::{ChaosSchedule, InjectionPoint};
 use dc_graph::Edge;
 use dc_sync::{waitstats, IntakeArray, RawSpinLock, SlotPoll, WaitLadder, WaitPolicy, WaitStep};
 use dynconn::{BatchConnectivity, BatchOp, DynamicConnectivity, Hdt, QueryResult};
@@ -70,7 +71,7 @@ use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// Typed failure of the engine's fallible doors.
@@ -230,6 +231,9 @@ pub struct BatchEngine {
     rejected: Mutex<Vec<Edge>>,
     /// How adapter callers wait on their intake slots.
     wait_policy: WaitPolicy,
+    /// Chaos schedule consulted by the engine's injection points; unset
+    /// outside fault-injection runs (see [`BatchEngine::attach_chaos`]).
+    chaos: OnceLock<Arc<ChaosSchedule>>,
 }
 
 // SAFETY: `scratch` is only accessed while `leader` is held (the bulk door
@@ -276,6 +280,7 @@ impl BatchEngine {
             poison_note: Mutex::new(None),
             rejected: Mutex::new(Vec::new()),
             wait_policy: WaitPolicy::default(),
+            chaos: OnceLock::new(),
         }
     }
 
@@ -292,6 +297,31 @@ impl BatchEngine {
     /// no batch can ever slip past the log unobserved.
     pub fn set_commit_hook(&mut self, hook: CommitHook) {
         self.commit_hook = Some(hook);
+    }
+
+    /// Attaches a chaos schedule to this engine and to the node arena of its
+    /// level-0 forest (the arena `try_link` allocates from). From then on
+    /// the engine's leader-panic and intake-stall points and the arena's
+    /// allocation and epoch-delay points fire on the schedule's ordinals;
+    /// other engines never consult it. Takes `&self` so a schedule can be
+    /// attached to a loaded store's engine. A rebuilt store gets a fresh
+    /// engine with no schedule.
+    ///
+    /// # Panics
+    ///
+    /// If a schedule is already attached.
+    pub fn attach_chaos(&self, schedule: Arc<ChaosSchedule>) {
+        assert!(
+            self.chaos.set(Arc::clone(&schedule)).is_ok(),
+            "a chaos schedule is already attached to this engine"
+        );
+        self.hdt.forest(0).attach_chaos(schedule);
+    }
+
+    /// Whether `point` fires on the attached schedule (never, without one).
+    #[inline]
+    fn chaos_fires(&self, point: InjectionPoint) -> bool {
+        self.chaos.get().is_some_and(|c| c.fires(point))
     }
 
     /// The underlying structure (tests, statistics, lock-free reads).
@@ -383,7 +413,9 @@ impl BatchEngine {
         if self.is_poisoned() {
             return Err(EngineError::Poisoned);
         }
-        dc_faults::maybe_stall(InjectionPoint::IntakeStall);
+        if let Some(chaos) = self.chaos.get() {
+            chaos.stall(InjectionPoint::IntakeStall);
+        }
         let idx = self.intake.publish(op);
         // Time blocked in the intake (waiting for a leader to resolve the
         // slot) counts as lock-wait for the active-time-rate statistic;
@@ -555,7 +587,7 @@ impl BatchEngine {
         );
         // Chaos: die with the batch compacted but *nothing* applied — the
         // whole batch must be invisible to both the structure and the log.
-        if dc_faults::should_inject(InjectionPoint::LeaderPanicBeforeApply) {
+        if self.chaos_fires(InjectionPoint::LeaderPanicBeforeApply) {
             panic!("chaos injection: leader panic before apply");
         }
         self.hdt
@@ -586,7 +618,7 @@ impl BatchEngine {
             }
             // Chaos: die with the batch applied *and* logged — recovery must
             // replay it; the callers were never acked.
-            if dc_faults::should_inject(InjectionPoint::LeaderPanicAfterCommit) {
+            if self.chaos_fires(InjectionPoint::LeaderPanicAfterCommit) {
                 panic!("chaos injection: leader panic after commit hook");
             }
         }
@@ -862,6 +894,10 @@ impl DynamicConnectivity for BatchEngine {
         let stats = self.hdt.stats();
         Some((stats.read_hint_hits, stats.read_hint_misses))
     }
+
+    fn set_read_hints(&self, enabled: bool) {
+        self.hdt.set_read_hints(enabled);
+    }
 }
 
 impl BatchConnectivity for BatchEngine {
@@ -880,9 +916,20 @@ impl BatchConnectivity for BatchEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dc_faults::ChaosConfig;
     use dynconn::sequential_apply_batch;
     use dynconn::RecomputeOracle;
-    use std::sync::Arc;
+
+    /// One fault of `point`, scheduled on its very first check.
+    fn one_shot(point: InjectionPoint) -> Arc<ChaosSchedule> {
+        let mut faults = [0; InjectionPoint::COUNT];
+        faults[point as usize] = 1;
+        Arc::new(ChaosSchedule::from_config(ChaosConfig {
+            horizon: 1,
+            faults_per_point: faults,
+            ..Default::default()
+        }))
+    }
 
     #[test]
     fn single_op_adapter_matches_basic_semantics() {
@@ -1018,7 +1065,6 @@ mod tests {
 
     #[test]
     fn leader_panic_poisons_instead_of_hanging() {
-        let _guard = dc_faults::test_guard();
         let mut engine = BatchEngine::new(8);
         engine.set_commit_hook(Box::new(|_, _, _| panic!("hook exploded")));
         let engine = Arc::new(engine);
@@ -1048,7 +1094,6 @@ mod tests {
 
     #[test]
     fn poison_releases_every_blocked_waiter() {
-        let _guard = dc_faults::test_guard();
         let mut engine = BatchEngine::new(64);
         engine.set_commit_hook(Box::new(|_, _, _| {
             // Let waiters pile up behind this leadership before dying.
@@ -1076,21 +1121,9 @@ mod tests {
 
     #[test]
     fn chaos_injection_panics_and_poisons_before_apply() {
-        let _guard = dc_faults::test_guard();
-        dc_faults::install(Arc::new(dc_faults::ChaosSchedule::from_config(
-            dc_faults::ChaosConfig {
-                horizon: 1,
-                faults_per_point: {
-                    let mut f = [0; dc_faults::InjectionPoint::COUNT];
-                    f[InjectionPoint::LeaderPanicBeforeApply as usize] = 1;
-                    f
-                },
-                ..Default::default()
-            },
-        )));
         let engine = BatchEngine::new(8);
+        engine.attach_chaos(one_shot(InjectionPoint::LeaderPanicBeforeApply));
         let result = engine.try_add_edge(0, 1);
-        dc_faults::uninstall();
         assert_eq!(result, Err(EngineError::Poisoned));
         assert!(engine.is_poisoned());
         let note = engine.poison_note().unwrap();
@@ -1101,7 +1134,6 @@ mod tests {
 
     #[test]
     fn bounded_wait_times_out_under_a_stalled_leader() {
-        let _guard = dc_faults::test_guard();
         waitstats::set_enabled(true);
         waitstats::reset();
         let mut engine = BatchEngine::new(8);
@@ -1136,7 +1168,6 @@ mod tests {
 
     #[test]
     fn capacity_rejected_adds_are_drained_not_applied() {
-        let _guard = dc_faults::test_guard();
         let engine = BatchEngine::new(8);
         engine.add_edge(0, 1);
         // Cap the arena: the next spanning link's bump allocation must fail.
@@ -1162,7 +1193,6 @@ mod tests {
 
     #[test]
     fn rejected_adds_never_reach_the_commit_hook() {
-        let _guard = dc_faults::test_guard();
         let logged: Arc<std::sync::Mutex<Vec<Edge>>> = Arc::default();
         let mut engine = BatchEngine::new(8);
         let sink = Arc::clone(&logged);
@@ -1191,6 +1221,68 @@ mod tests {
             stalls >= 1,
             "holding the leader lock for 120ms against 5ms probes must flag a stall"
         );
+    }
+
+    #[test]
+    fn chaos_schedule_stays_with_its_own_engine() {
+        // Engine A carries a one-shot leader panic; engine B, driven at the
+        // same time, carries nothing and must never see A's fault.
+        let schedule = one_shot(InjectionPoint::LeaderPanicBeforeApply);
+        let a = BatchEngine::new(32);
+        a.attach_chaos(Arc::clone(&schedule));
+        let b = BatchEngine::new(32);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..2u32 {
+                let (a, start) = (&a, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..8 {
+                        let u = t * 16 + i;
+                        if a.try_add_edge(u, u + 1) == Err(EngineError::Poisoned) {
+                            break;
+                        }
+                    }
+                });
+            }
+            for t in 0..2u32 {
+                let (b, start) = (&b, &start);
+                s.spawn(move || {
+                    // Each thread owns the block 16t..16t+16, so its own
+                    // oracle is a sequential reference for its answers.
+                    let oracle = RecomputeOracle::new(32);
+                    let base = t * 16;
+                    start.wait();
+                    for round in 0..20u32 {
+                        let u = base + round % 15;
+                        let v = base + (round * 7 + 3) % 16;
+                        if round % 3 == 2 {
+                            b.remove_edge(u, v);
+                            oracle.remove_edge(u, v);
+                        } else {
+                            b.add_edge(u, v);
+                            oracle.add_edge(u, v);
+                        }
+                        for w in base..base + 16 {
+                            assert_eq!(b.connected(base, w), oracle.connected(base, w));
+                        }
+                    }
+                });
+            }
+        });
+        assert!(a.is_poisoned());
+        let note = a.poison_note().unwrap();
+        assert!(note.contains("chaos injection"), "{note}");
+        assert!(!b.is_poisoned());
+        b.hdt().validate();
+        // Every check of the point was one of A's own batches: B never
+        // consumed A's ordinals.
+        let a_stats = a.stats();
+        assert_eq!(
+            schedule.checks(InjectionPoint::LeaderPanicBeforeApply),
+            a_stats.batches + a_stats.bulk_batches
+        );
+        assert_eq!(schedule.fired(InjectionPoint::LeaderPanicBeforeApply), 1);
     }
 
     #[test]

@@ -28,8 +28,14 @@
 //!   bulk-load / offline / bursty-client use, with sequential-equivalence
 //!   semantics;
 //! * the [`DynamicConnectivity`] adapter — every existing single-op bench
-//!   scenario and test runs against the engine unchanged (it also registers
-//!   as `Variant::BatchEngine`, number 14, via [`register_variant`]).
+//!   scenario and test runs against the engine unchanged.
+//!
+//! The crate also owns the variant registry, [`Variant`]: the thirteen
+//! paper variants of `dynconn` plus the engine as number 14, buildable by
+//! paper number.
+//!
+//! Fault injection is per engine: [`BatchEngine::attach_chaos`] attaches a
+//! `dc_faults` schedule to one instance (see `DESIGN.md` §13).
 //!
 //! See `DESIGN.md` §5 for the batch lifecycle and the linearizability
 //! argument (batch boundaries as linearization points).
@@ -52,9 +58,11 @@
 
 pub mod engine;
 pub mod plan;
+pub mod variants;
 
 pub use engine::{BatchEngine, BatchStats, CommitHook, EngineError};
 pub use plan::UpdatePlan;
+pub use variants::Variant;
 
 // The wait policy is configured through the engine but lives with the wait
 // ladder in `dc_sync`; re-export it so callers need not name both crates.
@@ -64,38 +72,12 @@ pub use dc_sync::WaitPolicy;
 // name `dynconn` for the common path.
 pub use dynconn::{BatchConnectivity, BatchOp, DynamicConnectivity, QueryResult};
 
-/// Registers [`BatchEngine`] as `Variant::BatchEngine` (number 14) in the
-/// core variant registry, so registry-driven harnesses (benches, examples,
-/// differential tests) can build it by name. Idempotent.
-pub fn register_variant() {
-    dynconn::variants::register_batch_builder(|n| Box::new(BatchEngine::new(n)));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynconn::Variant;
-
-    #[test]
-    fn registration_makes_variant_14_buildable() {
-        register_variant();
-        register_variant(); // idempotent
-        assert!(dynconn::variants::batch_builder_registered());
-        let all = Variant::all_extended();
-        assert_eq!(all.len(), 14);
-        assert_eq!(all.last(), Some(&Variant::BatchEngine));
-        let dc = Variant::BatchEngine.build(8);
-        assert_eq!(dc.num_vertices(), 8);
-        dc.add_edge(0, 1);
-        dc.add_edge(1, 2);
-        assert!(dc.connected(0, 2));
-        dc.remove_edge(1, 2);
-        assert!(!dc.connected(0, 2));
-    }
 
     #[test]
     fn every_extended_variant_supports_basic_operations() {
-        register_variant();
         for variant in Variant::all_extended() {
             let dc = variant.build(8);
             assert!(!dc.connected(0, 3), "{}", variant.name());

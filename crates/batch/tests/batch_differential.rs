@@ -2,8 +2,9 @@
 //! applied through `dc_batch` must answer every query exactly like the same
 //! operations applied one at a time to the sequential baseline oracle.
 
+use dc_batch::Variant;
 use dc_batch::{BatchConnectivity, BatchEngine, BatchOp, DynamicConnectivity};
-use dynconn::{sequential_apply_batch, RecomputeOracle, Variant};
+use dynconn::{sequential_apply_batch, RecomputeOracle};
 use proptest::prelude::*;
 
 fn batch_op(n: u32) -> impl Strategy<Value = BatchOp> {
@@ -109,7 +110,6 @@ proptest! {
     fn registry_variant_matches_the_oracle(
         ops in proptest::collection::vec(batch_op(8), 1..100),
     ) {
-        dc_batch::register_variant();
         let ops = effective(ops);
         let dc = Variant::BatchEngine.build(8);
         let oracle = RecomputeOracle::new(8);

@@ -3,9 +3,9 @@
 //! quickly; the full sweeps live in the `figure*` binaries).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dc_batch::Variant;
 use dc_bench::{run_throughput, Scenario, Workload};
 use dc_graph::generators;
-use dynconn::Variant;
 
 fn bench_variants_random_scenario(c: &mut Criterion) {
     let n = 2_000;

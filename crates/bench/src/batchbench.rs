@@ -31,10 +31,11 @@ use crate::report::{json_number, json_string};
 use crate::scenario::{Scenario, Workload};
 use crate::stats::LatencyHistogram;
 use crate::throughput::run_throughput;
+use dc_batch::Variant;
 use dc_batch::{BatchConnectivity, BatchEngine, BatchOp};
 use dc_graph::{generators, Edge};
 use dc_sync::waitstats;
-use dynconn::{DynamicConnectivity, Variant};
+use dynconn::DynamicConnectivity;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -335,7 +336,6 @@ fn keep_best(cells: &mut Vec<BatchCell>, mut cell: BatchCell, label: &str) -> bo
 /// Runs every scenario `config.repeats` times, keeping the best throughput
 /// per cell.
 pub fn run_batch_bench(config: &BatchBenchConfig) -> BatchBaseline {
-    dc_batch::register_variant();
     let mut baseline = BatchBaseline {
         git_rev: crate::ettbench::git_rev(),
         config: Some(config.clone()),

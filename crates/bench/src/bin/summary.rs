@@ -7,6 +7,7 @@
 //! at the highest measured thread count, for the 80%- and 99%-read random
 //! scenarios, and prints the per-graph factors plus the average and maximum.
 
+use dc_batch::Variant;
 use dc_bench::runner::run_adjacency_baseline;
 use dc_bench::{
     run_batch_bench, run_durability_bench, run_ett_bench, run_faults_bench, run_latency_bench,
@@ -15,7 +16,6 @@ use dc_bench::{
     ObsBenchConfig, ReadBenchConfig, Scenario, Workload, WorkloadBenchConfig,
 };
 use dc_graph::GraphSpec;
-use dynconn::Variant;
 
 fn main() {
     let config = BenchConfig::from_env();

@@ -1,18 +1,20 @@
 //! The fault-harness benchmark, emitted as `BENCH_faults.json`.
 //!
 //! `dc_faults` promises that its injection points are *zero-cost when
-//! disabled* — one relaxed load per check site — cheap enough to leave
-//! compiled into the engine's hot paths (`DESIGN.md` §13). This tier holds
-//! the harness to that promise, and measures the cost of the failure-path
-//! door the points exist to exercise:
+//! disabled* — one load of the instance's schedule slot per check site —
+//! cheap enough to leave compiled into the engine's hot paths
+//! (`DESIGN.md` §13). This tier holds the harness to that promise, and
+//! measures the cost of the failure-path door the points exist to
+//! exercise:
 //!
 //! * **disabled-injection overhead** — the batch engine runs a mixed
 //!   adapter workload (every op crosses the `IntakeStall` check, every
 //!   batch the two leader-panic checks, every link the `ArenaAlloc`
-//!   check) in three modes: **baseline** (no schedule installed),
-//!   **armed** (an empty schedule installed — every check pays the slow
-//!   path but nothing ever fires) and **disabled** (schedule uninstalled
-//!   again, the state a production binary is permanently in). The **gate**
+//!   check) in three modes, each on a fresh engine: **baseline** (no
+//!   schedule attached), **armed** (an empty schedule attached — every
+//!   check pays the slow path but nothing ever fires) and **disabled** (no
+//!   schedule again, built after the armed run — the state a production
+//!   binary is permanently in). The **gate**
 //!   is the disabled cell's overhead versus baseline, computed exactly as
 //!   in `BENCH_obs.json`: within each repeat cycle the three modes run
 //!   back-to-back so common-mode noise cancels in the ratio, and the gate
@@ -209,10 +211,10 @@ fn run_engine_workload(engine: &dc_batch::BatchEngine, workload: &GeneratedWorkl
     operations as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }
 
-/// The measurement order within a repeat: baseline while nothing is
-/// installed, then armed, then disabled — so the disabled cell measures the
-/// state a binary returns to after a chaos session (statics touched, branch
-/// predictors trained on the flag).
+/// The measurement order within a repeat: baseline on an engine with no
+/// schedule, then armed, then disabled (a fresh engine with no schedule) —
+/// so the disabled cell measures the state a binary returns to after a
+/// chaos session (caches and branch predictors trained on the armed run).
 const MODES: [&str; 3] = ["baseline", "armed", "disabled"];
 
 /// An armed-but-inert schedule: every check takes the slow path, nothing
@@ -280,12 +282,13 @@ fn measure_recovery(config: &FaultsBenchConfig) -> RecoveryCell {
             store.add_edge(u, u + 1);
         }
 
-        dc_faults::install(one_shot(InjectionPoint::LeaderPanicBeforeApply));
+        store
+            .engine()
+            .attach_chaos(one_shot(InjectionPoint::LeaderPanicBeforeApply));
         let died = store.engine().try_apply_batch(&[dynconn::BatchOp::Add(
             config.recovery_edges as u32 + 2,
             config.recovery_edges as u32 + 3,
         )]);
-        dc_faults::uninstall();
         assert_eq!(
             died,
             Err(dc_batch::EngineError::Poisoned),
@@ -327,7 +330,6 @@ pub fn run_faults_bench(config: &FaultsBenchConfig) -> FaultsBaseline {
     };
     let graph = topo.build(config.seed);
     let workload = presets::read_storm(&graph, config.threads, config.ops_per_thread, config.seed);
-    dc_faults::uninstall();
 
     // One unmeasured warm-up run: the first run of the process pays page
     // faults and cold caches none of the later cells pay, and the gate
@@ -346,11 +348,10 @@ pub fn run_faults_bench(config: &FaultsBenchConfig) -> FaultsBaseline {
     for _ in 0..config.repeats.max(1) {
         let mut cycle = [0.0f64; MODES.len()];
         for (i, mode) in MODES.iter().enumerate() {
-            match *mode {
-                "armed" => dc_faults::install(Arc::clone(&armed)),
-                _ => dc_faults::uninstall(),
-            }
             let engine = dc_batch::BatchEngine::new(graph.num_vertices());
+            if *mode == "armed" {
+                engine.attach_chaos(Arc::clone(&armed));
+            }
             let ops_per_sec = run_engine_workload(&engine, &workload);
             cycle[i] = ops_per_sec;
             best[i] = best[i].max(ops_per_sec);
@@ -358,7 +359,6 @@ pub fn run_faults_bench(config: &FaultsBenchConfig) -> FaultsBaseline {
         let paired = (1.0 - cycle[MODES.len() - 1] / cycle[0].max(1e-9)) * 100.0;
         disabled_overhead_percent = disabled_overhead_percent.min(paired);
     }
-    dc_faults::uninstall();
 
     let baseline_ops = best[0].max(1e-9);
     let overhead = |ops: f64| (1.0 - ops / baseline_ops) * 100.0;
@@ -515,7 +515,6 @@ mod tests {
 
     #[test]
     fn faults_bench_runs_on_a_tiny_instance() {
-        let _guard = dc_faults::test_guard();
         let config = FaultsBenchConfig {
             n: 96,
             ops_per_thread: 400,

@@ -27,11 +27,11 @@
 //!   `dc_obs` disabled, metrics-only and metrics+tracing against an
 //!   untouched baseline, gating the disabled overhead, emitted as
 //!   `BENCH_obs.json` ([`obsbench`]);
-//! * the fault-harness tier — the batch-engine adapter workload with the
-//!   `dc_faults` injection checks uninstalled, armed and disabled again
-//!   (gating the disabled overhead), plus the recovery-from-poison
-//!   latency of `DurableConnectivity::rebuild`, emitted as
-//!   `BENCH_faults.json` ([`faultsbench`]);
+//! * the fault-harness tier — the batch-engine adapter workload on fresh
+//!   engines with no `dc_faults` schedule, an attached empty schedule and
+//!   no schedule again (gating the disabled overhead), plus the
+//!   recovery-from-poison latency of `DurableConnectivity::rebuild`,
+//!   emitted as `BENCH_faults.json` ([`faultsbench`]);
 //! * a multi-threaded throughput harness with warm-up, lock-wait accounting
 //!   and ops/ms reporting ([`throughput`]);
 //! * the statistics collector behind Tables 3 and 4 ([`stats`]);

@@ -34,8 +34,9 @@
 //! instrumentation actually fires.
 
 use crate::report::{json_number, json_string};
+use dc_batch::Variant;
 use dc_workloads::{presets, GeneratedWorkload, Op, Topology};
-use dynconn::{DynamicConnectivity, Variant};
+use dynconn::DynamicConnectivity;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 

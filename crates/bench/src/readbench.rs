@@ -26,17 +26,18 @@
 //!   invalidation) frequent: the adversarial regime, where the cache must
 //!   not cost more than it saves.
 //!
-//! Hints are toggled through the process-wide construction default
-//! ([`dc_ett::set_default_read_hints`]); counters come back through
-//! [`dynconn::DynamicConnectivity::read_hint_counters`]. Variants whose
+//! Hints are toggled on each structure the tier builds
+//! ([`dynconn::DynamicConnectivity::set_read_hints`]); counters come back
+//! through [`dynconn::DynamicConnectivity::read_hint_counters`]. Variants whose
 //! reads are lock-based never consult the cache — their cells report zero
 //! consultations and a ~1x speedup, which is itself part of the result
 //! (the cache only accelerates the lock-free read protocol).
 
 use crate::report::{json_number, json_string};
+use dc_batch::Variant;
 use dc_sync::waitstats;
 use dc_workloads::{presets, GeneratedWorkload, Op, Phase, Topology, WorkloadSpec};
-use dynconn::{DynamicConnectivity, Variant};
+use dynconn::DynamicConnectivity;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
@@ -243,16 +244,15 @@ fn measure(structure: &dyn DynamicConnectivity, workload: &GeneratedWorkload) ->
     }
 }
 
-/// Measures `workload` for `variant` with the hint cache on or off (set via
-/// the process-wide construction default, restored by the caller).
+/// Measures `workload` for `variant` with the hint cache on or off.
 fn measure_variant(
     variant: Variant,
     n: usize,
     workload: &GeneratedWorkload,
     hints: bool,
 ) -> ReadCell {
-    dc_ett::set_default_read_hints(hints);
     let structure = variant.build(n);
+    structure.set_read_hints(hints);
     measure(structure.as_ref(), workload)
 }
 
@@ -304,26 +304,10 @@ fn run_read_scenario(
     }
 }
 
-/// Restores the process-wide hint default on drop, so a panicking run
-/// (e.g. a failing assert in a test) cannot leave other tests in the same
-/// binary constructing silently hint-less structures.
-struct DefaultHintsGuard(bool);
-
-impl Drop for DefaultHintsGuard {
-    fn drop(&mut self) {
-        dc_ett::set_default_read_hints(self.0);
-    }
-}
-
 /// Measures the three read-path scenarios across all fourteen variants,
 /// with the hint cache on and off.
 pub fn run_read_bench(config: &ReadBenchConfig) -> ReadBaseline {
-    dc_batch::register_variant();
-    let variants: Vec<Variant> = (1..=14)
-        .filter_map(Variant::by_paper_number)
-        .filter(|v| *v != Variant::BatchEngine || dynconn::batch_builder_registered())
-        .collect();
-    let _restore_default = DefaultHintsGuard(dc_ett::default_read_hints());
+    let variants = Variant::all_extended();
     let mut baseline = ReadBaseline {
         git_rev: crate::ettbench::git_rev(),
         config: Some(config.clone()),
@@ -552,7 +536,6 @@ mod tests {
                 "variant {number} has no lock-free read path to consult hints"
             );
         }
-        assert!(dc_ett::default_read_hints(), "default must be restored");
         let json = baseline.to_json();
         assert!(json.contains("dc-bench/reads/v1"));
         assert!(json.contains("speedup_hints_on_vs_off"));

@@ -9,8 +9,8 @@ use crate::config::BenchConfig;
 use crate::report::FigureData;
 use crate::scenario::{Scenario, Workload};
 use crate::throughput::{run_throughput, ThroughputResult};
+use dc_batch::Variant;
 use dc_graph::GraphSpec;
-use dynconn::Variant;
 
 /// Which quantity a figure reports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -315,7 +315,7 @@ pub fn run_adjacency_baseline(
 
 /// The variant subsets used by the paper's plots.
 pub mod variant_sets {
-    use dynconn::Variant;
+    use dc_batch::Variant;
 
     /// All thirteen variants (Figures 5 and 6).
     pub fn throughput_all() -> Vec<Variant> {

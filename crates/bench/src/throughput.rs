@@ -125,8 +125,8 @@ fn run_ops(structure: &dyn DynamicConnectivity, ops: &[Operation]) -> LatencyHis
 mod tests {
     use super::*;
     use crate::scenario::Scenario;
+    use dc_batch::Variant;
     use dc_graph::generators;
-    use dynconn::Variant;
 
     #[test]
     fn throughput_run_executes_all_operations() {

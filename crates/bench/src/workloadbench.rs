@@ -27,9 +27,10 @@
 
 use crate::report::{json_number, json_string};
 use crate::stats::LatencyHistogram;
+use dc_batch::Variant;
 use dc_sync::waitstats;
 use dc_workloads::{presets, GeneratedWorkload, Op, Topology, Trace};
-use dynconn::{DynamicConnectivity, Variant};
+use dynconn::DynamicConnectivity;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
@@ -285,13 +286,8 @@ fn run_scenario(
 
 /// Measures all four workload scenarios across all fourteen variants.
 pub fn run_workload_bench(config: &WorkloadBenchConfig) -> WorkloadBaseline {
-    dc_batch::register_variant();
-    // Paper numbering order, extension engine last — `by_paper_number` keeps
-    // the iteration explicit about which engines exist.
-    let variants: Vec<Variant> = (1..=14)
-        .filter_map(Variant::by_paper_number)
-        .filter(|v| *v != Variant::BatchEngine || dynconn::batch_builder_registered())
-        .collect();
+    // Paper numbering order, batch engine last.
+    let variants = Variant::all_extended();
     let mut baseline = WorkloadBaseline {
         git_rev: crate::ettbench::git_rev(),
         config: Some(config.clone()),

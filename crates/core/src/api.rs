@@ -36,6 +36,12 @@ pub trait DynamicConnectivity: Send + Sync {
     fn read_hint_counters(&self) -> Option<(u64, u64)> {
         None
     }
+
+    /// Enables or disables the root-hint read fast path on this structure
+    /// (both settings are correct; hints are strictly an accelerator). Set
+    /// it before sharing the structure for a deterministic state. The
+    /// default does nothing, for implementations without a hint cache.
+    fn set_read_hints(&self, _enabled: bool) {}
 }
 
 /// One operation of a batch submitted through [`BatchConnectivity`].

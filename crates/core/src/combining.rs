@@ -137,6 +137,10 @@ impl DynamicConnectivity for CombiningVariant {
         let stats = self.hdt.stats();
         Some((stats.read_hint_hits, stats.read_hint_misses))
     }
+
+    fn set_read_hints(&self, enabled: bool) {
+        self.hdt.set_read_hints(enabled);
+    }
 }
 
 #[cfg(test)]

@@ -11,19 +11,23 @@
 //!   single-writer concurrent Euler Tour Trees, with the level structure,
 //!   replacement search and sampling heuristic of the sequential algorithm;
 //! * all thirteen algorithm combinations evaluated in the paper
-//!   ([`variants::Variant`]), from coarse-grained locking to the full
-//!   algorithm with fine-grained per-component locks, non-blocking reads and
-//!   lock-free non-spanning edge updates;
+//!   ([`variants`], [`nonblocking`], [`combining`]), from coarse-grained
+//!   locking to the full algorithm with fine-grained per-component locks,
+//!   non-blocking reads and lock-free non-spanning edge updates (the
+//!   registry that builds them by paper number, batch engine included, is
+//!   `dc_batch::Variant`);
 //! * baselines and oracles used by the tests and the benchmark harness
 //!   ([`baseline`]).
 //!
 //! # Quick start
 //!
 //! ```
-//! use dynconn::{DynamicConnectivity, Variant};
+//! use dynconn::locking::FineLocking;
+//! use dynconn::nonblocking::NonBlockingVariant;
+//! use dynconn::DynamicConnectivity;
 //!
 //! // Build the paper's full algorithm (variant 9) over 100 vertices.
-//! let dc = Variant::OurAlgorithm.build(100);
+//! let dc = NonBlockingVariant::new(100, FineLocking::new());
 //! dc.add_edge(1, 2);
 //! dc.add_edge(2, 3);
 //! assert!(dc.connected(1, 3));
@@ -47,4 +51,3 @@ pub use baseline::{RecomputeOracle, UnionFind};
 pub use dc_ett::ArenaExhausted;
 pub use hdt::{Hdt, StatsSnapshot};
 pub use state::{EdgeState, Status};
-pub use variants::{batch_builder_registered, register_batch_builder, Variant};

@@ -183,6 +183,10 @@ impl<L: UpdateLocking> DynamicConnectivity for NonBlockingVariant<L> {
         let stats = self.hdt.stats();
         Some((stats.read_hint_hits, stats.read_hint_misses))
     }
+
+    fn set_read_hints(&self, enabled: bool) {
+        self.hdt.set_read_hints(enabled);
+    }
 }
 
 #[cfg(test)]

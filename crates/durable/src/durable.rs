@@ -586,6 +586,10 @@ impl DynamicConnectivity for DurableConnectivity {
     fn read_hint_counters(&self) -> Option<(u64, u64)> {
         self.engine.read_hint_counters()
     }
+
+    fn set_read_hints(&self, enabled: bool) {
+        self.engine.set_read_hints(enabled);
+    }
 }
 
 impl BatchConnectivity for DurableConnectivity {

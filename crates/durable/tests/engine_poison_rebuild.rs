@@ -69,7 +69,6 @@ fn poison_and_rebuild(
     tag: &str,
     point: InjectionPoint,
 ) -> (DurableConnectivity, RecomputeOracle, u64) {
-    let _guard = dc_faults::test_guard();
     let dir = test_dir(tag);
     let store = DurableConnectivity::create(&dir, N as usize, opts()).unwrap();
     let oracle = RecomputeOracle::new(N as usize);
@@ -80,11 +79,10 @@ fn poison_and_rebuild(
     let acked_seq = store.last_seq();
     assert_eq!(acked_seq, 11, "one effective op per adapter batch");
 
-    dc_faults::install(one_shot(point));
+    store.engine().attach_chaos(one_shot(point));
     let died = store
         .engine()
         .try_apply_batch(&[dynconn::BatchOp::Add(20, 21), dynconn::BatchOp::Add(21, 22)]);
-    dc_faults::uninstall();
     assert_eq!(
         died,
         Err(EngineError::Poisoned),
@@ -100,6 +98,7 @@ fn poison_and_rebuild(
     let (rebuilt, report) = store.rebuild().expect("the log must stay replayable");
     assert!(report.batches_replayed > 0 || report.checkpoint_seq > 0);
     assert!(!rebuilt.engine().is_poisoned(), "rebuild starts clean");
+    rebuilt.engine().hdt().validate();
     (rebuilt, oracle, acked_seq)
 }
 
@@ -143,6 +142,7 @@ fn rebuilt_store_keeps_working_and_logging() {
     assert!(rebuilt.connected(15, 16));
     assert_eq!(rebuilt.last_seq(), seq + 1);
     let (again, _report) = rebuilt.rebuild().unwrap();
+    again.engine().hdt().validate();
     assert!(again.connected(15, 16));
     assert!(again.connected(0, 11));
 }

@@ -36,15 +36,17 @@
 //! variants).
 
 use crate::node::Node;
+use dc_faults::{ChaosSchedule, InjectionPoint};
 use dc_sync::epoch::{EpochDomain, EpochGuard, Limbo};
 use parking_lot::Mutex;
 use std::alloc::Layout;
 use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Typed arena-capacity error: the allocation could not be satisfied
-/// without exceeding the arena's slot budget (or a chaos schedule injected
-/// that condition — see `dc_faults`). Callers surface this as a rejected
-/// operation instead of aborting; see `DESIGN.md` §13.
+/// without exceeding the arena's slot budget (or an attached chaos
+/// schedule injected that condition — see `dc_faults`). Callers surface
+/// this as a rejected operation instead of aborting; see `DESIGN.md` §13.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ArenaExhausted;
 
@@ -132,6 +134,9 @@ pub struct Arena {
     /// bounds growth). A tiny limit is the test door for exercising the
     /// [`ArenaExhausted`] path without allocating 268M nodes.
     node_limit: AtomicU32,
+    /// Chaos schedule consulted by [`Arena::try_alloc`] and the epoch
+    /// advance; unset outside fault-injection runs.
+    chaos: OnceLock<Arc<ChaosSchedule>>,
 }
 
 impl Arena {
@@ -149,6 +154,7 @@ impl Arena {
             limbo: Limbo::new(),
             domain: EpochDomain::new(),
             node_limit: AtomicU32::new(u32::MAX),
+            chaos: OnceLock::new(),
         }
     }
 
@@ -158,6 +164,20 @@ impl Arena {
     pub fn set_node_limit(&self, limit: Option<u32>) {
         self.node_limit
             .store(limit.unwrap_or(u32::MAX), Ordering::Relaxed);
+    }
+
+    /// Attaches a chaos schedule to this arena: [`Arena::try_alloc`] fails
+    /// on its [`InjectionPoint::ArenaAlloc`] ordinals and epoch advances
+    /// stall on its [`InjectionPoint::EpochAdvanceDelay`] ordinals.
+    ///
+    /// # Panics
+    ///
+    /// If a schedule is already attached.
+    pub fn attach_chaos(&self, schedule: Arc<ChaosSchedule>) {
+        assert!(
+            self.chaos.set(schedule).is_ok(),
+            "a chaos schedule is already attached to this arena"
+        );
     }
 
     /// Number of slots backed by arena memory (the high-water mark — the
@@ -265,8 +285,8 @@ impl Arena {
     /// Fallible allocation: [`Arena::alloc`] semantics, but capacity
     /// exhaustion (chunk directory full, or past a [`Arena::set_node_limit`]
     /// cap) comes back as a typed [`ArenaExhausted`] instead of a panic,
-    /// and an installed `dc_faults` chaos schedule can inject that failure
-    /// on its [`dc_faults::InjectionPoint::ArenaAlloc`] ordinals.
+    /// and an attached chaos schedule ([`Arena::attach_chaos`]) can inject
+    /// that failure on its [`InjectionPoint::ArenaAlloc`] ordinals.
     ///
     /// Forest `try_link` doors allocate through this entry so an
     /// over-capacity insert degrades to a rejected operation; interior
@@ -274,7 +294,11 @@ impl Arena {
     /// [`Arena::alloc`], whose failure is handled by the engine's unwind
     /// boundary instead (`DESIGN.md` §13).
     pub fn try_alloc(&self) -> Result<NodeRef, ArenaExhausted> {
-        if dc_faults::should_inject(dc_faults::InjectionPoint::ArenaAlloc) {
+        if self
+            .chaos
+            .get()
+            .is_some_and(|c| c.fires(InjectionPoint::ArenaAlloc))
+        {
             return Err(ArenaExhausted);
         }
         self.try_alloc_capacity()
@@ -373,7 +397,9 @@ impl Arena {
         // parked mid-walk — limbo keeps growing and allocation falls through
         // to the bump path, exactly the pattern the watchdog's epoch probe
         // and the capacity-rejection machinery must absorb.
-        dc_faults::maybe_stall(dc_faults::InjectionPoint::EpochAdvanceDelay);
+        if let Some(chaos) = self.chaos.get() {
+            chaos.stall(InjectionPoint::EpochAdvanceDelay);
+        }
         let mut drained: Vec<u32> = Vec::new();
         self.limbo
             .try_collect(&self.domain, |idx| drained.push(idx));
@@ -478,7 +504,6 @@ unsafe impl Sync for Arena {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn noderef_none_behaviour() {
@@ -667,29 +692,27 @@ mod tests {
 
     #[test]
     fn chaos_schedule_injects_try_alloc_failures_but_not_alloc() {
-        let _g = dc_faults::test_guard();
-        let schedule = std::sync::Arc::new(dc_faults::ChaosSchedule::from_config(
-            dc_faults::ChaosConfig {
-                seed: 11,
-                horizon: 1,
-                // Only the ArenaAlloc point, firing at ordinal 0.
-                faults_per_point: [0, 0, 1, 0, 0],
-                stall: std::time::Duration::from_micros(1),
-            },
-        ));
-        dc_faults::install(schedule.clone());
+        let schedule = Arc::new(ChaosSchedule::from_config(dc_faults::ChaosConfig {
+            seed: 11,
+            horizon: 1,
+            // Only the ArenaAlloc point, firing at ordinal 0.
+            faults_per_point: [0, 0, 1, 0, 0],
+            stall: std::time::Duration::from_micros(1),
+        }));
         let arena = Arena::new();
+        arena.attach_chaos(Arc::clone(&schedule));
         assert_eq!(arena.try_alloc(), Err(ArenaExhausted));
         assert!(arena.try_alloc().is_ok(), "only ordinal 0 should fire");
         // The infallible path never consults the schedule.
         let _ = arena.alloc();
-        dc_faults::uninstall();
+        // A second arena never sees the first one's schedule.
+        assert!(Arena::new().try_alloc().is_ok());
         assert_eq!(
-            schedule.fired(dc_faults::InjectionPoint::ArenaAlloc),
+            schedule.fired(InjectionPoint::ArenaAlloc),
             1,
             "alloc() must not consume chaos ordinals"
         );
-        assert_eq!(schedule.checks(dc_faults::InjectionPoint::ArenaAlloc), 2);
+        assert_eq!(schedule.checks(InjectionPoint::ArenaAlloc), 2);
     }
 
     #[test]

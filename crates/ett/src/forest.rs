@@ -63,7 +63,7 @@ use dc_sync::epoch::EpochGuard;
 use dc_sync::{RawRwLock, ShardedMap};
 use std::cell::Cell;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// Upper bound on the interleaved read engine's in-flight climb count (the
@@ -224,11 +224,10 @@ pub struct EulerForest {
     /// an HDT structure) ever consults it, so upper-level forests never pay
     /// the O(n) table.
     hints: OnceLock<HintCache>,
-    /// Enable/disable requested before the cache materialized: 0 = none
-    /// (adopt the process default at materialization), 1 = forced off,
-    /// 2 = forced on. Lets `set_read_hints(false)` on a never-queried
-    /// forest stay allocation-free.
-    hints_override: AtomicU8,
+    /// Hints are on unless this forest said off. Recorded outside the lazy
+    /// cache so `set_read_hints(false)` on a never-queried forest stays
+    /// allocation-free.
+    hints_off: AtomicBool,
     /// In-flight climb count of the interleaved engine, clamped to
     /// `1..=MAX_INTERLEAVE_WIDTH`.
     interleave_width: AtomicU8,
@@ -251,7 +250,7 @@ impl EulerForest {
             versions: (0..n).map(|_| AtomicU64::new(0)).collect(),
             locks: OnceLock::new(),
             hints: OnceLock::new(),
-            hints_override: AtomicU8::new(0),
+            hints_off: AtomicBool::new(false),
             interleave_width: AtomicU8::new(DEFAULT_INTERLEAVE_WIDTH as u8),
             prio_state: AtomicU64::new(seed | 1),
         };
@@ -326,6 +325,14 @@ impl EulerForest {
     /// [`EulerForest::try_link`] without allocating millions of slots.
     pub fn set_node_limit(&self, limit: Option<u32>) {
         self.arena.set_node_limit(limit);
+    }
+
+    /// Attaches a chaos schedule to the node arena (see
+    /// [`crate::arena::Arena::attach_chaos`]): [`EulerForest::try_link`]
+    /// fails on its arena-allocation ordinals and epoch advances stall on
+    /// its delay ordinals.
+    pub fn attach_chaos(&self, schedule: std::sync::Arc<dc_faults::ChaosSchedule>) {
+        self.arena.attach_chaos(schedule);
     }
 
     /// Pins the calling thread against the forest's reclamation domain: no
@@ -478,29 +485,20 @@ impl EulerForest {
     fn hints(&self) -> &HintCache {
         self.hints.get_or_init(|| {
             let cache = HintCache::new(self.vertex_nodes.len());
-            match self.hints_override.load(Ordering::Relaxed) {
-                1 => cache.set_enabled(false),
-                2 => cache.set_enabled(true),
-                _ => {} // adopt the process default HintCache::new read
-            }
+            cache.set_enabled(!self.hints_off.load(Ordering::Relaxed));
             cache
         })
     }
 
     /// Whether the hint fast path is active, *without* materializing the
-    /// table: an unmaterialized cache reports the pending override if one
-    /// was set, else the process-wide construction default (what it would
-    /// be built with) — so hints-disabled forests stay table-free through
-    /// any number of queries.
+    /// table: an unmaterialized cache reports what it would be built with,
+    /// so hints-disabled forests stay table-free through any number of
+    /// queries.
     #[inline]
     fn hints_enabled(&self) -> bool {
         match self.hints.get() {
             Some(hints) => hints.is_enabled(),
-            None => match self.hints_override.load(Ordering::Relaxed) {
-                1 => false,
-                2 => true,
-                _ => crate::hints::default_read_hints(),
-            },
+            None => !self.hints_off.load(Ordering::Relaxed),
         }
     }
 
@@ -998,14 +996,13 @@ impl EulerForest {
     /// settings are correct; hints are strictly an accelerator).
     ///
     /// Allocation-free on a never-queried forest: the request is recorded
-    /// as a pending override and applied when (if ever) the table
-    /// materializes. Racing this with a concurrent first query can leave
-    /// the cache on the old setting — harmless, since correctness never
-    /// depends on the flag — so callers wanting a deterministic state set
-    /// it before publishing the forest to readers (what the benches do).
+    /// and applied when (if ever) the table materializes. Racing this with
+    /// a concurrent first query can leave the cache on the old setting —
+    /// harmless, since correctness never depends on the flag — so callers
+    /// wanting a deterministic state set it before publishing the forest
+    /// to readers (what the benches do).
     pub fn set_read_hints(&self, enabled: bool) {
-        self.hints_override
-            .store(if enabled { 2 } else { 1 }, Ordering::Relaxed);
+        self.hints_off.store(!enabled, Ordering::Relaxed);
         if let Some(hints) = self.hints.get() {
             hints.set_enabled(enabled);
         }

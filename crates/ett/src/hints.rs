@@ -57,25 +57,6 @@ thread_local! {
         NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) & (COUNTER_STRIPES - 1);
 }
 
-/// Process-wide default for whether new forests enable their hint cache
-/// (benchmarks flip this around structure construction to measure the read
-/// path with hints on and off; both settings are correct).
-static DEFAULT_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Sets the process-wide default consulted when a forest materializes its
-/// (lazy) hint cache. Forests that already materialized theirs are
-/// unaffected; a never-yet-queried forest adopts the default in effect at
-/// its first query. To pin a specific forest regardless of the default, use
-/// [`HintCache::set_enabled`] through `EulerForest::set_read_hints`.
-pub fn set_default_read_hints(enabled: bool) {
-    DEFAULT_ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// The current process-wide default (see [`set_default_read_hints`]).
-pub fn default_read_hints() -> bool {
-    DEFAULT_ENABLED.load(Ordering::Relaxed)
-}
-
 /// A padded counter stripe: hit and miss words sharing one 128-byte line,
 /// but no line with any *other* stripe (or with the hint slots).
 #[repr(align(128))]
@@ -93,15 +74,14 @@ pub struct HintCache {
 }
 
 impl HintCache {
-    /// Creates an all-empty cache for `n` vertices, enabled per the
-    /// process-wide default.
+    /// Creates an all-empty, enabled cache for `n` vertices.
     pub fn new(n: usize) -> Self {
         HintCache {
             slots: (0..n).map(|_| AtomicU64::new(EMPTY)).collect(),
             counters: (0..COUNTER_STRIPES)
                 .map(|_| CounterStripe::default())
                 .collect(),
-            enabled: AtomicBool::new(default_read_hints()),
+            enabled: AtomicBool::new(true),
         }
     }
 
@@ -236,6 +216,11 @@ mod tests {
         let cache = HintCache::new(4);
         assert_eq!(HintCache::decode(cache.raw(0)), None);
         assert_eq!(HintCache::decode(cache.raw(3)), None);
+        // New caches start enabled; the toggle is per cache.
+        assert!(cache.is_enabled());
+        cache.set_enabled(false);
+        assert!(!cache.is_enabled());
+        assert!(HintCache::new(1).is_enabled());
     }
 
     #[test]
@@ -275,28 +260,5 @@ mod tests {
         });
         assert_eq!(cache.hits(), 6);
         assert_eq!(cache.misses(), 1);
-    }
-
-    #[test]
-    fn default_toggle_controls_new_caches() {
-        // Restore the default even if an assert below fails: tests in this
-        // binary run in parallel, and a leaked `false` would silently
-        // disable hints on structures other tests construct.
-        struct Restore;
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                set_default_read_hints(true);
-            }
-        }
-        let _restore = Restore;
-        assert!(default_read_hints());
-        set_default_read_hints(false);
-        let off = HintCache::new(1);
-        assert!(!off.is_enabled());
-        set_default_read_hints(true);
-        let on = HintCache::new(1);
-        assert!(on.is_enabled());
-        off.set_enabled(true);
-        assert!(off.is_enabled());
     }
 }

@@ -49,5 +49,5 @@ mod treap;
 
 pub use arena::{ArenaExhausted, NodeRef};
 pub use forest::{EulerForest, PreparedCut, ReadScratch, MAX_INTERLEAVE_WIDTH};
-pub use hints::{default_read_hints, set_default_read_hints, HintCache};
+pub use hints::HintCache;
 pub use node::{Mark, Node};

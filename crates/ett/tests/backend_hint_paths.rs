@@ -20,7 +20,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 #[test]
 fn absent_hint_misses_once_then_primes() {
     let forest = EulerForest::with_seed(8, 0);
-    forest.set_read_hints(true);
     forest.link(0, 1);
     assert_eq!(
         forest.read_hint_stats(),
@@ -40,7 +39,6 @@ fn absent_hint_misses_once_then_primes() {
 #[test]
 fn one_sided_stale_counts_one_hit_one_miss() {
     let forest = EulerForest::with_seed(16, 0);
-    forest.set_read_hints(true);
     // Component A: {0, 1}; component B: {2, 3}. Prime all four slots.
     forest.link(0, 1);
     forest.link(2, 3);
@@ -76,7 +74,6 @@ fn one_sided_stale_counts_one_hit_one_miss() {
 #[test]
 fn resolve_accounting_stays_exact_under_churn() {
     let forest = EulerForest::with_seed(32, 0);
-    forest.set_read_hints(true);
     // Stable path 16..31 gives the readers something to hit; the churned
     // half 0..15 forces stale hints and double-walk retries.
     for v in 16..31 {

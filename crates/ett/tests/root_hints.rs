@@ -10,14 +10,6 @@
 use dc_ett::EulerForest;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Builds a forest with hints explicitly enabled (tests must not depend on
-/// the process-wide default, which other tests may toggle).
-fn forest(n: usize) -> EulerForest {
-    let forest = EulerForest::new(n);
-    forest.set_read_hints(true);
-    forest
-}
-
 #[test]
 fn toggling_hints_on_a_fresh_forest_allocates_nothing() {
     let forest = EulerForest::new(1 << 20);
@@ -40,7 +32,7 @@ fn toggling_hints_on_a_fresh_forest_allocates_nothing() {
 
 #[test]
 fn repeat_queries_hit_the_cache() {
-    let forest = forest(8);
+    let forest = EulerForest::new(8);
     forest.link(0, 1);
     forest.link(1, 2);
     forest.link(3, 4);
@@ -61,7 +53,7 @@ fn repeat_queries_hit_the_cache() {
 
 #[test]
 fn a_bump_invalidates_exactly_the_touched_component() {
-    let forest = forest(12);
+    let forest = EulerForest::new(12);
     // Component A: 0-1-2; component B: 4-5-6; vertex 8 stays a singleton.
     forest.link(0, 1);
     forest.link(1, 2);
@@ -116,7 +108,7 @@ fn hints_installed_during_a_prepared_cut_die_at_commit() {
     // store (and the detached root before it), or those hints would keep
     // validating — and keep answering `connected` — after the split
     // (DESIGN.md §8, the post-store bump rule).
-    let forest = forest(6);
+    let forest = EulerForest::new(6);
     forest.link(0, 1);
     forest.link(1, 2);
     forest.link(2, 3);
@@ -137,7 +129,7 @@ fn hints_installed_during_a_prepared_cut_die_at_commit() {
 
 #[test]
 fn forest_connected_many_agrees_with_connected() {
-    let forest = forest(16);
+    let forest = EulerForest::new(16);
     for v in 0..7 {
         forest.link(v, v + 1);
     }
@@ -179,7 +171,7 @@ fn concurrent_readers_stay_exact_while_another_component_churns() {
     // one of those answers is deterministic and must stay exact, even
     // though the writer's bumps continuously invalidate the churned
     // component's hints.
-    let forest = forest(16);
+    let forest = EulerForest::new(16);
     for v in 8..15 {
         forest.link(v, v + 1);
     }
@@ -241,7 +233,7 @@ fn concurrent_readers_stay_exact_while_another_component_churns() {
 fn hint_claims_never_straddle_a_link_or_cut() {
     use std::sync::atomic::AtomicU64;
     const TOGGLES: u64 = 150_000;
-    let forest = forest(16);
+    let forest = EulerForest::new(16);
     for v in 0..7 {
         forest.link(v, v + 1);
     }

@@ -8,12 +8,18 @@
 //! failure, stalled threads, delayed reclamation — so the engine layers
 //! above `dc_durable` can be soaked the same way (see `DESIGN.md` §13).
 //!
-//! **Zero-cost when disabled.** Instrumented sites call
-//! [`should_inject`] / [`maybe_stall`], which are one relaxed atomic load
-//! and a predictable branch while no schedule is installed — the exact
-//! discipline `dc_obs::metrics_enabled()` established. Production binaries
-//! compile the probes in and never notice them; the chaos soak installs a
-//! [`ChaosSchedule`] and the same binary starts failing on schedule.
+//! **Per-instance.** A [`ChaosSchedule`] attaches to one engine
+//! (`dc_batch::BatchEngine::attach_chaos`), which forwards the same
+//! schedule to the node arena of its level-0 forest. Each schedule keeps
+//! its own check ordinals, so two engines in one process never consume
+//! each other's faults, and tests need no serialization.
+//!
+//! **Zero-cost when disabled.** An instrumented site loads its instance's
+//! schedule slot and branches: one load and a never-taken branch while no
+//! schedule is attached — the exact discipline
+//! `dc_obs::metrics_enabled()` established. Production binaries compile
+//! the check sites in and never notice them; the chaos soak attaches a
+//! schedule and the same binary starts failing on schedule.
 //!
 //! **Determinism.** A schedule is fully determined by its
 //! [`ChaosConfig`]: for every [`InjectionPoint`] the config's seed draws a
@@ -21,16 +27,8 @@
 //! at which the point fires. Same seed, same workload interleaving → same
 //! faults, which is what lets the soak assert exact differential agreement
 //! after every recovery.
-//!
-//! **Global install.** Exactly one schedule is active per process (the
-//! instrumented sites are free functions — threading a handle through
-//! every arena and engine would put a pointer chase on hot paths that are
-//! otherwise a single load). Tests that install schedules must serialize
-//! through [`test_guard`].
 
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 pub mod watchdog;
@@ -121,8 +119,8 @@ fn xorshift(state: &mut u64) -> u64 {
 }
 
 /// A compiled chaos schedule: per-point sorted fire ordinals plus per-point
-/// check/fire tallies. Install with [`install`]; consult with
-/// [`should_inject`] / [`maybe_stall`].
+/// check/fire tallies. Instrumented sites consult it through
+/// [`ChaosSchedule::fires`] / [`ChaosSchedule::stall`].
 pub struct ChaosSchedule {
     config: ChaosConfig,
     /// Sorted, deduplicated check ordinals at which each point fires.
@@ -171,7 +169,8 @@ impl ChaosSchedule {
 
     /// Consults the schedule for one check of `point`: assigns the next
     /// check ordinal and reports whether this one fires.
-    fn check(&self, point: InjectionPoint) -> bool {
+    #[inline(never)]
+    pub fn fires(&self, point: InjectionPoint) -> bool {
         let ord = self.checks[point as usize].fetch_add(1, Ordering::Relaxed);
         if self.hits[point as usize].binary_search(&ord).is_err() {
             return false;
@@ -179,6 +178,17 @@ impl ChaosSchedule {
         let n = self.fired[point as usize].fetch_add(1, Ordering::Relaxed) + 1;
         dc_obs::counter_add(dc_obs::Counter::ChaosInjections, 1);
         dc_obs::event(dc_obs::EventKind::ChaosInject, point as u64, n);
+        true
+    }
+
+    /// Stall-type check: if `point` fires, sleeps for the schedule's stall
+    /// duration and returns `true`.
+    #[inline(never)]
+    pub fn stall(&self, point: InjectionPoint) -> bool {
+        if !self.fires(point) {
+            return false;
+        }
+        std::thread::sleep(self.config.stall);
         true
     }
 
@@ -203,93 +213,9 @@ impl ChaosSchedule {
     }
 }
 
-static CHAOS_ENABLED: AtomicBool = AtomicBool::new(false);
-static SCHEDULE: Mutex<Option<Arc<ChaosSchedule>>> = Mutex::new(None);
-
-/// Installs `schedule` as the process-wide chaos schedule, replacing any
-/// previous one. Instrumented sites start consulting it immediately.
-pub fn install(schedule: Arc<ChaosSchedule>) {
-    *SCHEDULE.lock() = Some(schedule);
-    CHAOS_ENABLED.store(true, Ordering::Release);
-}
-
-/// Removes the active schedule; every probe reverts to the one-relaxed-load
-/// fast path.
-pub fn uninstall() {
-    CHAOS_ENABLED.store(false, Ordering::Release);
-    *SCHEDULE.lock() = None;
-}
-
-/// The currently installed schedule, if any.
-pub fn active() -> Option<Arc<ChaosSchedule>> {
-    if !CHAOS_ENABLED.load(Ordering::Acquire) {
-        return None;
-    }
-    SCHEDULE.lock().clone()
-}
-
-/// Consults the active schedule (if any) for one check of `point`. This is
-/// the probe instrumented sites embed: one relaxed load and a never-taken
-/// branch while chaos is off.
-#[inline]
-pub fn should_inject(point: InjectionPoint) -> bool {
-    if !CHAOS_ENABLED.load(Ordering::Relaxed) {
-        return false;
-    }
-    should_inject_slow(point)
-}
-
-#[inline(never)]
-fn should_inject_slow(point: InjectionPoint) -> bool {
-    match active() {
-        Some(schedule) => schedule.check(point),
-        None => false,
-    }
-}
-
-/// Stall-type probe: if `point` fires, sleeps for the schedule's stall
-/// duration and returns `true`. Same disabled cost as [`should_inject`].
-#[inline]
-pub fn maybe_stall(point: InjectionPoint) -> bool {
-    if !CHAOS_ENABLED.load(Ordering::Relaxed) {
-        return false;
-    }
-    maybe_stall_slow(point)
-}
-
-#[inline(never)]
-fn maybe_stall_slow(point: InjectionPoint) -> bool {
-    let Some(schedule) = active() else {
-        return false;
-    };
-    if !schedule.check(point) {
-        return false;
-    }
-    std::thread::sleep(schedule.config.stall);
-    true
-}
-
-static TEST_GUARD: Mutex<()> = Mutex::new(());
-
-/// Serializes tests (and soaks) that install process-wide chaos schedules;
-/// hold the guard across `install` … `uninstall`.
-pub fn test_guard() -> parking_lot::MutexGuard<'static, ()> {
-    TEST_GUARD.lock()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disabled_probe_is_inert() {
-        let _g = test_guard();
-        uninstall();
-        for p in InjectionPoint::ALL {
-            assert!(!should_inject(p));
-            assert!(!maybe_stall(p));
-        }
-    }
 
     #[test]
     fn same_seed_same_schedule() {
@@ -317,22 +243,16 @@ mod tests {
 
     #[test]
     fn installed_schedule_fires_exactly_on_its_ordinals() {
-        let _g = test_guard();
-        let schedule = Arc::new(ChaosSchedule::from_config(ChaosConfig {
+        let schedule = ChaosSchedule::from_config(ChaosConfig {
             seed: 7,
             horizon: 50,
             faults_per_point: [5, 0, 0, 0, 0],
             stall: Duration::from_micros(1),
-        }));
+        });
         let expected = schedule.hits[0].clone();
-        install(schedule.clone());
-        let mut fired_at = Vec::new();
-        for ord in 0..60u64 {
-            if should_inject(InjectionPoint::LeaderPanicBeforeApply) {
-                fired_at.push(ord);
-            }
-        }
-        uninstall();
+        let fired_at: Vec<u64> = (0..60u64)
+            .filter(|_| schedule.fires(InjectionPoint::LeaderPanicBeforeApply))
+            .collect();
         assert_eq!(fired_at, expected);
         assert_eq!(
             schedule.fired(InjectionPoint::LeaderPanicBeforeApply),
@@ -341,23 +261,20 @@ mod tests {
         assert_eq!(schedule.total_fired(), expected.len() as u64);
         assert_eq!(schedule.checks(InjectionPoint::LeaderPanicBeforeApply), 60);
         // Points with zero planned faults never fire.
-        assert!(!should_inject(InjectionPoint::ArenaAlloc));
+        assert!(!schedule.fires(InjectionPoint::ArenaAlloc));
     }
 
     #[test]
     fn maybe_stall_sleeps_only_when_fired() {
-        let _g = test_guard();
-        let schedule = Arc::new(ChaosSchedule::from_config(ChaosConfig {
+        let schedule = ChaosSchedule::from_config(ChaosConfig {
             seed: 9,
             horizon: 1,
             faults_per_point: [0, 0, 0, 1, 0],
             stall: Duration::from_millis(1),
-        }));
-        install(schedule.clone());
+        });
         // Ordinal 0 is the only possible hit (horizon 1).
-        assert!(maybe_stall(InjectionPoint::IntakeStall));
-        assert!(!maybe_stall(InjectionPoint::IntakeStall));
-        uninstall();
+        assert!(schedule.stall(InjectionPoint::IntakeStall));
+        assert!(!schedule.stall(InjectionPoint::IntakeStall));
         assert_eq!(schedule.fired(InjectionPoint::IntakeStall), 1);
     }
 }

@@ -3,7 +3,9 @@
 //! sequential oracle replay of a recorded trace.
 
 use dc_workloads::{presets, Op, Phase, Topology, Trace, TraceReader, TraceWriter, WorkloadSpec};
-use dynconn::{DynamicConnectivity, RecomputeOracle, Variant};
+use dynconn::locking::FineLocking;
+use dynconn::nonblocking::NonBlockingVariant;
+use dynconn::{DynamicConnectivity, RecomputeOracle};
 
 #[test]
 fn trace_survives_a_file_round_trip() {
@@ -113,7 +115,7 @@ fn recorded_trace_replays_sequentially_against_the_oracle() {
         .generate(&graph);
     let trace = Trace::record(&workload, 17, graph.num_vertices() as u32);
 
-    let dc = Variant::OurAlgorithm.build(graph.num_vertices());
+    let dc = NonBlockingVariant::new(graph.num_vertices(), FineLocking::new());
     let oracle = RecomputeOracle::new(graph.num_vertices());
     for e in &trace.preload {
         dc.add_edge(e.u(), e.v());

@@ -74,11 +74,11 @@ pub use dc_sync as sync;
 pub use dc_workloads as workloads;
 pub use dynconn;
 
-pub use dc_batch::{BatchEngine, EngineError, WaitPolicy};
+pub use dc_batch::{BatchEngine, EngineError, Variant, WaitPolicy};
 pub use dc_durable::{DurableConnectivity, DurableOptions, FsyncPolicy};
-pub use dc_ett::{set_default_read_hints, EulerForest};
+pub use dc_ett::EulerForest;
 pub use dc_graph::{Edge, Graph};
 pub use dc_workloads::{Topology, Trace, WorkloadSpec};
 pub use dynconn::{
-    BatchConnectivity, BatchOp, DynamicConnectivity, Hdt, QueryResult, RecomputeOracle, Variant,
+    BatchConnectivity, BatchOp, DynamicConnectivity, Hdt, QueryResult, RecomputeOracle,
 };

@@ -23,9 +23,7 @@
 //! ordinals), so this soak never flakes: the same faults fire at the same
 //! operations on every run.
 
-use concurrent_dynamic_connectivity::faults::{
-    self as dc_faults, ChaosConfig, ChaosSchedule, InjectionPoint,
-};
+use concurrent_dynamic_connectivity::faults::{ChaosConfig, ChaosSchedule, InjectionPoint};
 use concurrent_dynamic_connectivity::{BatchEngine, EngineError, RecomputeOracle, WaitPolicy};
 use dynconn::DynamicConnectivity;
 use rand::rngs::StdRng;
@@ -92,21 +90,22 @@ struct SoakTally {
 }
 
 /// One seeded round: effective ops through the adapter door, oracle in
-/// lockstep, chaos installed for the duration. Single-driver on purpose —
-/// it makes "the acked prefix" exact, so agreement can be asserted op by
-/// op. (Concurrent waiter release is covered by the engine's own tests.)
+/// lockstep, the round's schedule attached to the round's engine.
+/// Single-driver on purpose — it makes "the acked prefix" exact, so
+/// agreement can be asserted op by op. (Concurrent waiter release is
+/// covered by the engine's own tests.)
 fn soak_round(seed: u64, tally: &mut SoakTally) {
     let schedule = round_schedule(seed);
     let mut engine = BatchEngine::with_options(N, 64, 2);
     // A bounded wait would only ever fire against a wedged leadership;
     // reaching it is a hang, and the deadline types it out as such.
     engine.set_wait_policy(WaitPolicy::with_deadline(Duration::from_secs(5)));
+    engine.attach_chaos(Arc::clone(&schedule));
     let oracle = RecomputeOracle::new(N);
     let mut present: HashSet<(u32, u32)> = HashSet::new();
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x00dd_ba11).wrapping_add(7));
     let mut poisoned = false;
 
-    dc_faults::install(Arc::clone(&schedule));
     for op in 1..=OPS_PER_ROUND {
         let kind = rng.gen_range(0u32..10);
         let outcome: Result<(), EngineError> = if kind < 4 || present.is_empty() {
@@ -170,7 +169,6 @@ fn soak_round(seed: u64, tally: &mut SoakTally) {
             }
         }
     }
-    dc_faults::uninstall();
 
     if poisoned {
         // Typed, terminal, explained — and fail-fast on every door.
@@ -226,7 +224,6 @@ fn with_deadline(
 #[test]
 fn chaos_soak_differential() {
     silence_chaos_panics();
-    let _guard = dc_faults::test_guard();
 
     let tally = with_deadline("rounds", || {
         let mut tally = SoakTally::default();
@@ -251,8 +248,8 @@ fn chaos_soak_differential() {
     );
 
     // The acceptance bar: a real soak, not a smoke — at least 50 injected
-    // faults, at least one poisoned round, and both panic points plus both
-    // recoverable points exercised.
+    // faults, at least one poisoned round, and every point exercised (an
+    // attached schedule that never reaches a point would hide it).
     assert!(total_fired >= 50, "only {total_fired} faults fired");
     assert!(tally.poisons >= 1, "no round was ever poisoned");
     for &point in &[
@@ -260,6 +257,7 @@ fn chaos_soak_differential() {
         InjectionPoint::LeaderPanicAfterCommit,
         InjectionPoint::ArenaAlloc,
         InjectionPoint::IntakeStall,
+        InjectionPoint::EpochAdvanceDelay,
     ] {
         assert!(
             tally.fired[point as usize] >= 1,

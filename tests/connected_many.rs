@@ -252,7 +252,6 @@ proptest! {
         ops in proptest::collection::vec(sym_op(14), 1..80),
         raw_pairs in proptest::collection::vec((0u32..14, 0u32..14), 4..24),
     ) {
-        dc_batch::register_variant();
         let n = 14usize;
         // Salt the pair list: every pair also appears flipped, plus one
         // self-pair per distinct first endpoint.

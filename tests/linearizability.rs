@@ -328,7 +328,6 @@ fn nonblocking_coarse_histories_are_linearizable() {
 /// headline combinations, this one makes sure none is left unchecked.
 #[test]
 fn every_extended_variant_history_is_linearizable() {
-    dc_batch::register_variant();
     let variants = Variant::all_extended();
     assert_eq!(variants.len(), 14);
     for variant in variants {

@@ -15,11 +15,9 @@ use dynconn::RecomputeOracle;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Builds every variant over `n` vertices, labelled by name for failure
-/// messages. The batch engine is registered first (idempotent) so variant
-/// 14 participates.
+/// Builds every variant over `n` vertices, the batch engine (variant 14)
+/// included, labelled by name for failure messages.
 fn all_variants(n: usize) -> Vec<(Box<dyn DynamicConnectivity>, String)> {
-    dc_batch::register_variant();
     Variant::all_extended()
         .into_iter()
         .map(|variant| (variant.build(n), variant.name().to_string()))

@@ -25,9 +25,6 @@ fn sym_op(n: u32) -> impl Strategy<Value = SymOp> {
 }
 
 fn apply_and_compare(variant: Variant, n: u32, ops: &[SymOp]) {
-    if variant == Variant::BatchEngine {
-        dc_batch::register_variant();
-    }
     let dc = variant.build(n as usize);
     let label = variant.name();
     let oracle = RecomputeOracle::new(n as usize);

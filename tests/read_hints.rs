@@ -157,7 +157,6 @@ proptest! {
         rounds in proptest::collection::vec(churn_strategy(), 3..4),
         case_seed in any::<u64>(),
     ) {
-        dc_batch::register_variant();
         let pool = edge_pool();
         let n = (CHURN + STABLE) as usize;
         for variant in Variant::all_extended() {

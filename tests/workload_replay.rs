@@ -54,7 +54,6 @@ fn replay_against_oracle(trace: &Trace, dc: &dyn DynamicConnectivity) {
 }
 
 fn all_fourteen() -> Vec<Variant> {
-    dc_batch::register_variant();
     let variants = Variant::all_extended();
     assert_eq!(variants.len(), 14);
     assert_eq!(
@@ -103,7 +102,6 @@ fn zipf_churn_trace_replays_on_powerlaw_topology() {
     let trace = Trace::from_bytes(&bytes).unwrap();
     // A focused subset here (the full sweep runs above): the coarse
     // baseline, the paper's algorithm and the batch engine.
-    dc_batch::register_variant();
     for number in [1u8, 9, 14] {
         let variant = Variant::by_paper_number(number).unwrap();
         let dc = variant.build(graph.num_vertices());
