@@ -70,7 +70,7 @@ use dynconn::{BatchConnectivity, BatchOp, DynamicConnectivity, Hdt, QueryResult}
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -234,6 +234,10 @@ pub struct BatchEngine {
     /// Chaos schedule consulted by the engine's injection points; unset
     /// outside fault-injection runs (see [`BatchEngine::attach_chaos`]).
     chaos: OnceLock<Arc<ChaosSchedule>>,
+    /// Edges the structure holds, kept by `flush_plan` (only touched under
+    /// the leader lock) so that asking "is the structure empty?" costs one
+    /// load instead of a walk over the state map's shards.
+    live_edges: AtomicUsize,
 }
 
 // SAFETY: `scratch` is only accessed while `leader` is held (the bulk door
@@ -269,6 +273,7 @@ impl BatchEngine {
     /// and then hands it to the engine, which becomes its single writer.
     pub fn from_hdt(hdt: Hdt, intake_capacity: usize, query_threads: usize) -> Self {
         BatchEngine {
+            live_edges: AtomicUsize::new(hdt.num_edges()),
             hdt,
             intake: IntakeArray::with_capacity(intake_capacity),
             leader: RawSpinLock::new(),
@@ -555,6 +560,11 @@ impl BatchEngine {
     /// Compacts `plan` and applies the surviving updates in one combined
     /// pass. Must hold the leader lock (the single-writer role).
     ///
+    /// When the structure holds no edges and the batch removes nothing, the
+    /// pass is [`Hdt::bulk_build`], which links the whole spanning forest at
+    /// once; otherwise each update goes through the per-edge path. Both give
+    /// the same structure and reject the same additions.
+    ///
     /// Additions the forest refuses for capacity land in `rejected` (and
     /// the engine's [`BatchEngine::drain_rejected`] buffer) and are filtered
     /// out of `adds` *before* the commit hook runs, so the durable log only
@@ -590,8 +600,12 @@ impl BatchEngine {
         if self.chaos_fires(InjectionPoint::LeaderPanicBeforeApply) {
             panic!("chaos injection: leader panic before apply");
         }
-        self.hdt
-            .try_apply_compacted_batch_locked(adds, removes, rejected);
+        if removes.is_empty() && self.live_edges.load(Ordering::Relaxed) == 0 {
+            self.hdt.bulk_build(adds, rejected);
+        } else {
+            self.hdt
+                .try_apply_compacted_batch_locked(adds, removes, rejected);
+        }
         if !rejected.is_empty() {
             self.counters
                 .rejected_updates
@@ -602,6 +616,12 @@ impl BatchEngine {
                 .unwrap_or_else(|e| e.into_inner())
                 .extend_from_slice(rejected);
         }
+        // Compacted adds were all absent and removes all present, so every
+        // one that was not rejected changed the edge count.
+        self.live_edges.store(
+            self.live_edges.load(Ordering::Relaxed) + adds.len() - removes.len(),
+            Ordering::Relaxed,
+        );
         let applied = survivors - rejected.len();
         self.counters
             .applied_updates
@@ -1295,5 +1315,158 @@ mod tests {
         let results = engine.apply_batch(&ops);
         assert_eq!(results.len(), 1000);
         assert!(results.iter().all(|r| r.connected));
+    }
+
+    /// Lock-free readers race a bulk `apply_batch` into an empty engine,
+    /// which takes the bulk-build route: a pair in different final
+    /// components never reads connected, a pair that read connected never
+    /// reads disconnected later, and once the batch returns every answer
+    /// matches the oracle.
+    #[test]
+    fn readers_racing_a_bulk_load_see_only_merges() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const N: u32 = 3000;
+        for round in 0..4u64 {
+            let mut rng = StdRng::seed_from_u64(round);
+            // Local edges over the first 3/4 of the vertices: long paths,
+            // cycles (non-spanning edges), repeats and self-loops; the last
+            // quarter stays isolated.
+            let span = N * 3 / 4;
+            let ops: Vec<BatchOp> = (0..2 * N)
+                .map(|_| {
+                    let u = rng.gen_range(0..span);
+                    BatchOp::Add(u, (u + rng.gen_range(0..24u32)) % span)
+                })
+                .collect();
+            let mut oracle = dynconn::UnionFind::new(N as usize);
+            for op in &ops {
+                let (u, v) = op.endpoints();
+                oracle.union(u, v);
+            }
+            let component: Vec<u32> = (0..N).map(|v| oracle.find(v)).collect();
+            let pairs: Vec<(u32, u32)> = (0..512)
+                .map(|_| {
+                    let u = rng.gen_range(0..N);
+                    (u, (u + rng.gen_range(1..200u32)) % N)
+                })
+                .collect();
+
+            let engine = BatchEngine::with_options(N as usize, 8, 1);
+            let done = AtomicU8::new(0);
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        let mut seen = vec![false; pairs.len()];
+                        while done.load(Ordering::Acquire) == 0 {
+                            for (i, &(u, v)) in pairs.iter().enumerate() {
+                                if engine.hdt().connected(u, v) {
+                                    assert_eq!(
+                                        component[u as usize], component[v as usize],
+                                        "round {round}: ({u}, {v}) read connected across final components"
+                                    );
+                                    seen[i] = true;
+                                } else {
+                                    assert!(
+                                        !seen[i],
+                                        "round {round}: ({u}, {v}) read connected, then disconnected"
+                                    );
+                                }
+                            }
+                        }
+                    });
+                }
+                engine.apply_batch(&ops);
+                done.store(1, Ordering::Release);
+            });
+            for &(u, v) in &pairs {
+                assert_eq!(
+                    engine.hdt().connected(u, v),
+                    component[u as usize] == component[v as usize],
+                    "round {round}: ({u}, {v}) after the batch"
+                );
+            }
+            engine.hdt().validate();
+        }
+    }
+
+    /// Under an arena cap or injected allocation failures, the bulk-build
+    /// route rejects exactly the adds the per-edge path rejects, and the
+    /// commit hook logs only the applied ones.
+    #[test]
+    fn bulk_route_rejects_what_the_per_edge_path_rejects() {
+        const N: u32 = 48;
+        // Cliques of six, interleaved so spanning and non-spanning adds mix.
+        let mut adds: Vec<Edge> = Vec::new();
+        for offset in 1..6 {
+            for u in 0..N {
+                let v = u - u % 6 + (u % 6 + offset) % 6;
+                if u < v {
+                    adds.push(Edge::new(u, v));
+                }
+            }
+        }
+        let ops: Vec<BatchOp> = adds.iter().map(|e| BatchOp::Add(e.u(), e.v())).collect();
+        for case in 0..6u64 {
+            let logged: Arc<std::sync::Mutex<Vec<Edge>>> = Arc::default();
+            let mut engine = BatchEngine::new(N as usize);
+            let sink = Arc::clone(&logged);
+            engine.set_commit_hook(Box::new(move |_, adds, _| {
+                sink.lock().unwrap().extend_from_slice(adds);
+            }));
+            let reference = Hdt::new(N as usize);
+            let schedule = if case < 3 {
+                let limit = Some(N + 8 * case as u32 + 2);
+                engine.hdt().forest(0).set_node_limit(limit);
+                reference.forest(0).set_node_limit(limit);
+                None
+            } else {
+                let mut faults = [0; InjectionPoint::COUNT];
+                faults[InjectionPoint::ArenaAlloc as usize] = 3;
+                let config = ChaosConfig {
+                    seed: case,
+                    horizon: 60,
+                    faults_per_point: faults,
+                    ..Default::default()
+                };
+                let schedule = Arc::new(ChaosSchedule::from_config(config));
+                engine.attach_chaos(Arc::clone(&schedule));
+                reference
+                    .forest(0)
+                    .attach_chaos(Arc::new(ChaosSchedule::from_config(config)));
+                Some(schedule)
+            };
+
+            engine.apply_batch(&ops);
+            let mut expected = Vec::new();
+            reference.try_apply_compacted_batch_locked(&adds, &[], &mut expected);
+
+            assert!(!expected.is_empty(), "case {case}: nothing was rejected");
+            if let Some(schedule) = schedule {
+                assert_eq!(schedule.fired(InjectionPoint::ArenaAlloc), 3, "case {case}");
+            }
+            assert_eq!(engine.drain_rejected(), expected, "case {case}: rejections");
+            let applied: Vec<Edge> = adds
+                .iter()
+                .copied()
+                .filter(|e| !expected.contains(e))
+                .collect();
+            assert_eq!(*logged.lock().unwrap(), applied, "case {case}: commit log");
+            for u in 0..N {
+                for v in u + 1..N {
+                    assert_eq!(
+                        engine.hdt().has_edge(u, v),
+                        reference.has_edge(u, v),
+                        "case {case}: edge ({u}, {v})"
+                    );
+                    assert_eq!(
+                        engine.hdt().connected(u, v),
+                        reference.connected(u, v),
+                        "case {case}: ({u}, {v})"
+                    );
+                }
+            }
+            engine.hdt().validate();
+        }
     }
 }

@@ -56,6 +56,7 @@
 //!   needs for its `add_nonspanning_info` / `remove_nonspanning_info`
 //!   publications).
 
+use crate::baseline::UnionFind;
 use crate::state::{EdgeState, RemovalOp, Status};
 use dc_ett::{EulerForest, Mark, NodeRef};
 use dc_graph::Edge;
@@ -132,6 +133,55 @@ impl StatsSnapshot {
             0.0
         } else {
             100.0 * self.read_hint_hits as f64 / total as f64
+        }
+    }
+}
+
+/// The vertex self-marks a bulk build raises, collected as one vertex
+/// bitmap per `(level, mark)` while the edges are scanned and applied in
+/// vertex order before the forests are built: a sequential pass over the
+/// vertex nodes instead of one random node access per endpoint.
+struct SingletonMarks {
+    words: usize,
+    /// Indexed by `2 * level + mark`; empty until the first mark.
+    bits: Vec<Vec<u64>>,
+}
+
+impl SingletonMarks {
+    fn new(n: usize, levels: usize) -> Self {
+        SingletonMarks {
+            words: n.div_ceil(64),
+            bits: vec![Vec::new(); 2 * levels],
+        }
+    }
+
+    fn set(&mut self, level: usize, mark: Mark, v: u32) {
+        let bits = &mut self.bits[2 * level + mark as usize];
+        if bits.is_empty() {
+            bits.resize(self.words, 0);
+        }
+        bits[v as usize / 64] |= 1 << (v % 64);
+    }
+
+    /// Raises every collected mark on its (still singleton) vertex.
+    fn apply(self, hdt: &Hdt) {
+        for (i, bits) in self.bits.iter().enumerate() {
+            if bits.is_empty() {
+                continue;
+            }
+            let forest = hdt.forest(i / 2);
+            let mark = if i % 2 == Mark::Spanning as usize {
+                Mark::Spanning
+            } else {
+                Mark::NonSpanning
+            };
+            for (w, &word) in bits.iter().enumerate() {
+                let mut rest = word;
+                while rest != 0 {
+                    forest.mark_singleton((w * 64) as u32 + rest.trailing_zeros(), mark);
+                    rest &= rest - 1;
+                }
+            }
         }
     }
 }
@@ -664,11 +714,12 @@ impl Hdt {
     /// its level.
     ///
     /// Spanning edges are walked out of the per-level ETT edge-node
-    /// registries top-down — an edge's exact level is the *highest* forest
-    /// that contains it, since a level-`l` spanning edge is linked into
-    /// forests `0..=l`. Non-spanning edges are walked out of the non-tree
-    /// adjacency store's materialized pages; each edge sits in both
-    /// endpoints' slots and only the copy at the smaller endpoint is
+    /// registries top-down. A level-`l` spanning edge is linked into
+    /// forests `0..=l`, so each occurrence must be a spanning edge of at
+    /// least that forest's level, and the edge is emitted from the forest
+    /// that matches its level. Non-spanning edges are walked out of the
+    /// non-tree adjacency store's materialized pages; each edge sits in
+    /// both endpoints' slots and only the copy at the smaller endpoint is
     /// emitted. Both walks are cross-checked entry-by-entry (and in total)
     /// against the edge-state map, so an internally inconsistent structure
     /// panics here instead of producing a corrupt checkpoint.
@@ -681,22 +732,26 @@ impl Hdt {
         mut spanning: impl FnMut(u32, u32, u8),
         mut nonspanning: impl FnMut(u32, u32, u8),
     ) {
-        let mut seen: std::collections::HashSet<Edge> = std::collections::HashSet::new();
         let mut spanning_count = 0usize;
         for lvl in (0..self.levels.len()).rev() {
             let Some(forest) = self.levels[lvl].get() else {
                 continue;
             };
+            // A level-`l` spanning edge sits in forests `0..=l`: emit it
+            // from the one that matches its level.
             forest.for_each_tree_edge(|u, v| {
                 let edge = Edge::new(u, v);
-                if seen.insert(edge) {
-                    let state = self.states.get(&edge);
-                    assert!(
-                        matches!(&state, Some(st) if st.status == Status::Spanning
-                            && st.level as usize == lvl),
-                        "checkpoint export: forest {lvl} holds {edge:?} as its highest \
-                         level but the state map says {state:?}"
-                    );
+                let state = self.states.get(&edge);
+                let level = match &state {
+                    Some(st) if st.status == Status::Spanning && st.level as usize >= lvl => {
+                        st.level as usize
+                    }
+                    _ => panic!(
+                        "checkpoint export: forest {lvl} holds {edge:?} but the state map \
+                         says {state:?}"
+                    ),
+                };
+                if level == lvl {
                     spanning(edge.u(), edge.v(), lvl as u8);
                     spanning_count += 1;
                 }
@@ -730,46 +785,154 @@ impl Hdt {
         );
     }
 
-    /// Restores a spanning edge at its exact checkpoint level: links it into
-    /// forests `0..=level`, records the exact-level spanning adjacency and
-    /// raises the subtree flags — the inverse of one
-    /// [`Hdt::export_edges_locked`] `spanning` callback.
-    ///
-    /// Restore contract: the caller feeds back exactly an exported edge set
-    /// (all spanning edges first, then non-spanning), in any order within
-    /// each class, into a structure of the same vertex count with none of
-    /// those edges present. Single-writer, like all structural methods.
-    pub fn restore_spanning_edge_locked(&self, u: u32, v: u32, level: u8) {
-        let edge = Edge::new(u, v);
-        assert!(
-            !self.has_edge(u, v),
-            "restore of an already-present edge {edge:?}"
-        );
-        assert!((level as usize) < self.levels.len(), "level out of range");
-        self.make_spanning(edge, level as usize);
-        self.states
-            .insert(edge, EdgeState::new(Status::Spanning, level));
+    // ----- bulk construction ---------------------------------------------------
+
+    /// Number of edges in the graph (exact while the structure is
+    /// write-quiescent).
+    pub fn num_edges(&self) -> usize {
+        self.states.len()
     }
 
-    /// Restores a non-spanning edge at its exact checkpoint level: records
-    /// the adjacency info and raises the subtree flags — the inverse of one
-    /// [`Hdt::export_edges_locked`] `nonspanning` callback. Must run after
-    /// every spanning edge was restored (see
-    /// [`Hdt::restore_spanning_edge_locked`] for the full contract).
-    pub fn restore_nonspanning_edge_locked(&self, u: u32, v: u32, level: u8) {
-        let edge = Edge::new(u, v);
+    /// Loads `adds` into a structure that holds no edges, in time linear in
+    /// the vertex count plus `adds.len()` (`DESIGN.md` §2, "Bulk
+    /// construction"). The outcome — edge set, spanning forest, levels,
+    /// capacity rejections, statistics — is exactly that of calling
+    /// [`Hdt::try_add_edge_locked`] on each edge in order:
+    ///
+    /// * a union-find pass in batch order makes an edge spanning iff its
+    ///   endpoints are not yet connected, which is the partition the
+    ///   sequential path picks; a repeated edge is skipped;
+    /// * each spanning edge reserves its two tour nodes at that point of
+    ///   the pass, with the allocation calls `try_link` would make, so an
+    ///   edge the arena refuses (real or chaos-injected exhaustion) is
+    ///   appended to `rejected` (and tallied on
+    ///   [`dc_obs::Counter::CapacityRejections`]) and later edges see the
+    ///   graph without it;
+    /// * adjacency entries and vertex self-marks are written while every
+    ///   vertex is still a singleton, then [`EulerForest::build_trees`]
+    ///   links the whole level-0 forest at once.
+    ///
+    /// Returns the number of edges added. Same synchronization contract as
+    /// [`Hdt::add_edge_locked`], for the whole structure; lock-free readers
+    /// may run throughout.
+    pub fn bulk_build(&self, adds: &[Edge], rejected: &mut Vec<Edge>) -> usize {
         assert!(
-            !self.has_edge(u, v),
-            "restore of an already-present edge {edge:?}"
+            self.states.is_empty(),
+            "bulk_build needs a structure that holds no edges"
         );
-        assert!((level as usize) < self.levels.len(), "level out of range");
-        debug_assert!(
-            self.forest(0).same_tree_locked(u, v),
-            "non-spanning restore of {edge:?} before its component's spanning edges"
+        let forest = self.forest(0);
+        let mut marks = SingletonMarks::new(self.n, 1);
+        let mut components = UnionFind::new(self.n);
+        let mut spanning = Vec::new();
+        let mut reserved = Vec::new();
+        let mut nonspanning = 0usize;
+        for &edge in adds {
+            let (u, v) = edge.endpoints();
+            let (ru, rv) = (components.find(u), components.find(v));
+            if ru == rv {
+                let state = EdgeState::new(Status::NonSpanning, 0);
+                if self.states.put_if_absent(edge, state).is_none() {
+                    self.record_bulk_edge(0, edge, Status::NonSpanning, &mut marks);
+                    nonspanning += 1;
+                }
+                continue;
+            }
+            match forest.try_reserve_edge_nodes() {
+                Ok(pair) => {
+                    components.union(ru, rv);
+                    self.states
+                        .insert(edge, EdgeState::new(Status::Spanning, 0));
+                    self.record_bulk_edge(0, edge, Status::Spanning, &mut marks);
+                    spanning.push((u, v));
+                    reserved.push(pair);
+                }
+                Err(dc_ett::ArenaExhausted) => {
+                    dc_obs::counter_add(dc_obs::Counter::CapacityRejections, 1);
+                    rejected.push(edge);
+                }
+            }
+        }
+        drop(components);
+        marks.apply(self);
+        forest.build_trees(&spanning, reserved);
+        let added = spanning.len() + nonspanning;
+        self.stats
+            .additions
+            .fetch_add(added as u64, Ordering::Relaxed);
+        self.stats
+            .non_spanning_additions
+            .fetch_add(nonspanning as u64, Ordering::Relaxed);
+        dc_obs::counter_add(dc_obs::Counter::HdtAdditions, added as u64);
+        dc_obs::counter_add(dc_obs::Counter::HdtNonSpanningAdditions, nonspanning as u64);
+        added
+    }
+
+    /// Rebuilds an exported edge set at its exact levels — the inverse of
+    /// [`Hdt::export_edges_locked`], used by checkpoint restore. Every
+    /// edge's state, adjacency entry and self-mark is written first; then
+    /// [`EulerForest::build_trees`] runs once per level `l`, over the
+    /// spanning edges of level `l` or higher (in input order, so each
+    /// level's tour-edge registry fills as the per-edge links would).
+    ///
+    /// Contract: the structure holds no edges, the two lists hold distinct
+    /// edges with levels in range, and each level's spanning edges form a
+    /// forest that spans every non-spanning edge of that level — what an
+    /// export of a valid structure produces. Violations panic. Same
+    /// synchronization contract as [`Hdt::bulk_build`].
+    pub fn bulk_build_levels(&self, spanning: &[(u32, u32, u8)], nonspanning: &[(u32, u32, u8)]) {
+        assert!(
+            self.states.is_empty(),
+            "bulk_build_levels needs a structure that holds no edges"
         );
-        self.add_nonspanning_info(level as usize, edge);
-        self.states
-            .insert(edge, EdgeState::new(Status::NonSpanning, level));
+        let mut marks = SingletonMarks::new(self.n, self.levels.len());
+        for (class, status) in [
+            (spanning, Status::Spanning),
+            (nonspanning, Status::NonSpanning),
+        ] {
+            for &(u, v, level) in class {
+                let edge = Edge::new(u, v);
+                assert!((level as usize) < self.levels.len(), "level out of range");
+                let prev = self
+                    .states
+                    .put_if_absent(edge, EdgeState::new(status, level));
+                assert!(prev.is_none(), "{edge:?} listed twice");
+                self.record_bulk_edge(level as usize, edge, status, &mut marks);
+            }
+        }
+        marks.apply(self);
+        let top = spanning.iter().map(|e| e.2 as usize).max().unwrap_or(0);
+        let mut edges = Vec::with_capacity(spanning.len());
+        for lvl in 0..=top {
+            edges.clear();
+            edges.extend(
+                spanning
+                    .iter()
+                    .filter(|e| e.2 as usize >= lvl)
+                    .map(|&(u, v, _)| (u, v)),
+            );
+            self.forest(lvl).build_trees(&edges, Vec::new());
+        }
+    }
+
+    /// Records an edge of exactly `level` for the bulk builders: its
+    /// adjacency entries in the store of its class, and its endpoints'
+    /// self-marks into `marks`.
+    fn record_bulk_edge(
+        &self,
+        level: usize,
+        edge: Edge,
+        status: Status,
+        marks: &mut SingletonMarks,
+    ) {
+        let (store, mark) = if status == Status::Spanning {
+            (&self.tree_adj, Mark::Spanning)
+        } else {
+            (&self.nontree_adj, Mark::NonSpanning)
+        };
+        for x in [edge.u(), edge.v()] {
+            store.add(level, x, edge);
+            marks.set(level, mark, x);
+        }
     }
 
     // ----- internal helpers ---------------------------------------------------

@@ -1,8 +1,8 @@
 //! Checkpoints: a full structural snapshot, written atomically.
 //!
 //! A checkpoint file freezes the spanning forest and the non-spanning
-//! adjacency levels — everything `Hdt::restore_*_edge_locked` needs to
-//! rebuild the structure without replaying history. Recovery then only
+//! adjacency levels — everything `Hdt::bulk_build_levels` needs to
+//! rebuild the structure, in linear time, without replaying history. Recovery then only
 //! replays the WAL *tail* past the checkpoint's `covered_seq`.
 //!
 //! # Format (version 1), file `ck-NNNNNNNNNNNNNNNN.dcc`
@@ -174,17 +174,12 @@ pub(crate) fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointData, String> 
     })
 }
 
-/// Restores a decoded checkpoint into a fresh structure: spanning edges
-/// first (each class may be applied in any order within itself — the
-/// spanning set forms a forest per level, so links never cycle), then the
-/// non-spanning edges, which need the forests in place.
+/// Restores a decoded checkpoint into a fresh structure with the bulk
+/// builder: every edge at its recorded level, each level's forest built
+/// once from the spanning edges of that level or higher (which form a
+/// forest, so the build never meets a cycle).
 pub(crate) fn restore_into(hdt: &Hdt, data: &CheckpointData) {
-    for &(u, v, level) in &data.spanning {
-        hdt.restore_spanning_edge_locked(u, v, level);
-    }
-    for &(u, v, level) in &data.nonspanning {
-        hdt.restore_nonspanning_edge_locked(u, v, level);
-    }
+    hdt.bulk_build_levels(&data.spanning, &data.nonspanning);
 }
 
 /// Lists checkpoint files in `dir`, newest (highest `covered_seq`) first,

@@ -5,7 +5,7 @@
 //!
 //! The walk goes through the full disk path (create → operate → checkpoint
 //! → recover from the checkpoint alone), so it also pins the file format:
-//! what `export_edges_locked` emits is what `restore_*_edge_locked` gets.
+//! what `export_edges_locked` emits is what `bulk_build_levels` gets.
 
 use dc_durable::{DurableConnectivity, DurableOptions, FsyncPolicy};
 use dynconn::{BatchConnectivity, BatchOp, DynamicConnectivity, RecomputeOracle};

@@ -56,7 +56,7 @@
 //! `DESIGN.md` §8 for the safety argument and [`crate::hints`] for the
 //! encoding.
 
-use crate::arena::{Arena, NodeRef};
+use crate::arena::{Arena, ArenaExhausted, NodeRef};
 use crate::hints::HintCache;
 use crate::node::{Mark, Node};
 use dc_sync::epoch::EpochGuard;
@@ -1095,18 +1095,26 @@ impl EulerForest {
     /// chaos-injected) comes back as `Err(ArenaExhausted)` with the forest
     /// bit-for-bit untouched — the caller degrades the insert to a rejected
     /// operation instead of aborting (`DESIGN.md` §13).
-    pub fn try_link(&self, u: u32, v: u32) -> Result<(), crate::arena::ArenaExhausted> {
+    pub fn try_link(&self, u: u32, v: u32) -> Result<(), ArenaExhausted> {
+        let (e_a, e_b) = self.try_reserve_edge_nodes()?;
+        self.link_with_nodes(u, v, e_a, e_b);
+        Ok(())
+    }
+
+    /// Reserves the two tour edge nodes one spanning edge needs, through
+    /// [`crate::arena::Arena::try_alloc`] — the allocation half of
+    /// [`EulerForest::try_link`], with the same sequence of arena calls. On
+    /// failure nothing stays reserved.
+    pub fn try_reserve_edge_nodes(&self) -> Result<(NodeRef, NodeRef), ArenaExhausted> {
         let e_a = self.arena.try_alloc()?;
-        let e_b = match self.arena.try_alloc() {
-            Ok(r) => r,
+        match self.arena.try_alloc() {
+            Ok(e_b) => Ok((e_a, e_b)),
             Err(err) => {
                 // Never published: straight back to the free list.
                 self.arena.release_unpublished(e_a);
-                return Err(err);
+                Err(err)
             }
-        };
-        self.link_with_nodes(u, v, e_a, e_b);
-        Ok(())
+        }
     }
 
     /// The link body, with the two tour edge nodes already reserved
@@ -1272,6 +1280,202 @@ impl EulerForest {
         cut
     }
 
+    // ----- bulk construction ------------------------------------------------
+
+    /// Links a whole forest of spanning edges at once, in time linear in
+    /// the vertex count plus `edges.len()` instead of one reroot and three
+    /// merges per edge (`DESIGN.md` §2, "Bulk construction").
+    ///
+    /// Each tree's Euler tour is emitted by an iterative DFS —
+    /// `r, (r→c), tour(c), (c→r), …` — and turned into its treap by the
+    /// stack-based Cartesian-tree construction over the existing banded
+    /// priorities (vertex nodes keep theirs, edge nodes draw fresh ones).
+    /// Sizes, `is_root` flags and aggregate marks (self-marks OR the
+    /// children's aggregates) are set as each node's subtree completes.
+    ///
+    /// `reserved[i]`, where present, holds the two tour nodes of `edges[i]`
+    /// (from [`EulerForest::try_reserve_edge_nodes`]); the edges past the
+    /// end of `reserved` get fresh nodes. The tour-edge registry is filled
+    /// in `edges` order, as that many `link` calls would.
+    ///
+    /// Concurrent lock-free readers are safe: every vertex of a tree goes
+    /// busy before the tree's first parent store, every edge node points at
+    /// the tree's final root before any parent store names it, and every
+    /// parent store points at a strictly higher-priority node — so
+    /// components only ever merge, within one final tree, until the closing
+    /// bumps.
+    ///
+    /// # Contract
+    /// Every endpoint is currently a singleton tree, the edges form a
+    /// forest (no cycle, duplicate or self-loop — violations panic), and the
+    /// caller is the unique writer of the whole forest.
+    pub fn build_trees(&self, edges: &[(u32, u32)], reserved: Vec<(NodeRef, NodeRef)>) {
+        assert!(
+            reserved.len() <= edges.len(),
+            "more reserved pairs than edges"
+        );
+        const END: u32 = u32::MAX;
+        // Per-vertex lists of half-edges: half-edge `2i` leaves `edges[i].0`
+        // and `2i + 1` leaves `edges[i].1`; `head` starts each vertex's list
+        // and `next` chains it.
+        let mut head = vec![END; self.vertex_nodes.len()];
+        let mut next = vec![END; 2 * edges.len()];
+        for (i, &(u, v)) in edges.iter().enumerate() {
+            for (half, from) in [(2 * i, u), (2 * i + 1, v)] {
+                next[half] = head[from as usize];
+                head[from as usize] = half as u32;
+            }
+        }
+
+        // Tour edge nodes, registry order: (min->max, max->min). Unreserved
+        // pairs are allocated as the DFS first crosses their edge, so the
+        // arena lays them out in tour order.
+        let mut nodes = reserved;
+        nodes.resize(edges.len(), (NodeRef::NONE, NodeRef::NONE));
+        let mut visited = vec![false; self.vertex_nodes.len()];
+        let mut tour: Vec<NodeRef> = Vec::new();
+        let mut spine: Vec<NodeRef> = Vec::new();
+        // DFS frames: (vertex, edge it was entered by, next half-edge).
+        let mut dfs: Vec<(u32, u32, u32)> = Vec::new();
+        for &(start, _) in edges {
+            if visited[start as usize] {
+                continue;
+            }
+            tour.clear();
+            visited[start as usize] = true;
+            tour.push(self.singleton_node(start));
+            dfs.push((start, END, head[start as usize]));
+            while let Some(frame) = dfs.last_mut() {
+                let (v, via, half) = *frame;
+                if half != END {
+                    frame.2 = next[half as usize];
+                    let i = half / 2;
+                    if i == via {
+                        continue;
+                    }
+                    let (a, b) = edges[i as usize];
+                    let c = if half % 2 == 0 { b } else { a };
+                    assert!(
+                        !visited[c as usize],
+                        "build_trees: the edges close a cycle at vertex {c}"
+                    );
+                    visited[c as usize] = true;
+                    let pair = &mut nodes[i as usize];
+                    if pair.0.is_none() {
+                        *pair = (self.arena.alloc(), self.arena.alloc());
+                    }
+                    let (lo, hi) = norm(v, c);
+                    for (r, from, to) in [(pair.0, lo, hi), (pair.1, hi, lo)] {
+                        let node = self.node(r);
+                        node.set_endpoints(from, to);
+                        node.set_priority(self.next_priority());
+                    }
+                    tour.push(if v < c { pair.0 } else { pair.1 });
+                    tour.push(self.singleton_node(c));
+                    dfs.push((c, i, head[c as usize]));
+                } else {
+                    dfs.pop();
+                    if let Some(&(parent, _, _)) = dfs.last() {
+                        let (fwd, bwd) = nodes[via as usize];
+                        tour.push(if v < parent { fwd } else { bwd });
+                    }
+                }
+            }
+            self.build_tour_treap(&tour, &mut spine);
+        }
+
+        for (&(u, v), &pair) in edges.iter().zip(&nodes) {
+            let prev = self.edge_nodes.insert(norm(u, v), pair);
+            debug_assert!(prev.is_none(), "duplicate spanning edge ({u}, {v})");
+        }
+    }
+
+    /// Vertex `v`'s node, asserting it is still a singleton tree (the
+    /// [`EulerForest::build_trees`] precondition).
+    fn singleton_node(&self, v: u32) -> NodeRef {
+        let r = self.vertex_node_ref(v);
+        let node = self.node(r);
+        assert!(
+            node.is_root() && node.size() == 1 && node.parent().is_none(),
+            "build_trees: vertex {v} is not a singleton tree"
+        );
+        r
+    }
+
+    /// Turns one tree's Euler tour into its treap (the stack-based
+    /// Cartesian-tree construction) and publishes it to readers; see
+    /// [`EulerForest::build_trees`] for why every intermediate state is
+    /// safe. `spine` is scratch.
+    fn build_tour_treap(&self, tour: &[NodeRef], spine: &mut Vec<NodeRef>) {
+        // Vertex nodes outrank every edge node, so the highest-priority
+        // node — the final root — is a vertex node.
+        let root = *tour
+            .iter()
+            .max_by_key(|&&r| self.prio_key(r))
+            .expect("a tour holds at least its start vertex");
+        let vertices = || {
+            tour.iter()
+                .copied()
+                .filter(|&r| !self.node(r).is_edge_node())
+        };
+        for r in vertices() {
+            self.begin_busy(r);
+        }
+        spine.clear();
+        for &x in tour {
+            let node = self.node(x);
+            if node.is_edge_node() {
+                // No second sink: named by a parent store only once its
+                // subtree completes below, it points at the final root
+                // from the start (as in `link`).
+                node.set_parent(root);
+            }
+            let mut last = NodeRef::NONE;
+            while let Some(&top) = spine.last() {
+                if self.prio_key(top) > self.prio_key(x) {
+                    break;
+                }
+                spine.pop();
+                self.finish_built_node(top);
+                last = top;
+            }
+            node.set_left(last);
+            if let Some(&top) = spine.last() {
+                self.node(top).set_right(x);
+            }
+            spine.push(x);
+        }
+        while let Some(top) = spine.pop() {
+            self.finish_built_node(top);
+        }
+        debug_assert!(self.node(root).is_root() && self.node(root).parent().is_none());
+        for r in vertices() {
+            self.end_busy(r);
+        }
+    }
+
+    /// Completes a node whose subtree is final: its size and aggregate
+    /// marks from its children, and the children's parent stores (each to
+    /// this strictly higher-priority node).
+    fn finish_built_node(&self, r: NodeRef) {
+        let node = self.node(r);
+        let mut size = u32::from(!node.is_edge_node());
+        let mut marks = node.self_mark_bits_as_agg();
+        for child in [node.left(), node.right()] {
+            if child.is_some() {
+                let c = self.node(child);
+                size += c.size();
+                marks |= c.agg_mark_bits();
+                if c.is_root() {
+                    c.set_is_root(false);
+                }
+                c.set_parent(r);
+            }
+        }
+        node.set_size(size);
+        node.raise_agg_mark_bits(marks);
+    }
+
     // ----- subtree marks (non-spanning / spanning edge summaries) ----------
 
     /// Sets the self-contribution of `mark` on vertex `v`'s node.
@@ -1307,6 +1511,21 @@ impl EulerForest {
             }
             cur = parent;
         }
+    }
+
+    /// [`EulerForest::mark_path_upward`] for a vertex that is still a
+    /// singleton tree: its node is the whole tree, so the self-contribution
+    /// and the aggregate are raised with no walk and no pin. The bulk
+    /// builder's pre-pass; [`EulerForest::build_trees`] later folds the
+    /// marks into the aggregates it builds.
+    pub fn mark_singleton(&self, v: u32, mark: Mark) {
+        let node = self.node(self.vertex_node_ref(v));
+        debug_assert!(
+            node.parent().is_none() && node.size() == 1,
+            "vertex {v} is not a singleton tree"
+        );
+        node.set_self_mark(mark, true);
+        node.set_agg_mark(mark, true);
     }
 
     fn should_have_mark(&self, r: NodeRef, mark: Mark) -> bool {
@@ -1701,6 +1920,56 @@ mod tests {
             ControlFlow::Break(())
         });
         assert_eq!(visits, 1);
+    }
+
+    #[test]
+    fn build_trees_matches_incremental_links() {
+        // Two trees (one branching) and two isolated vertices; the first
+        // edge's nodes come reserved, the rest are allocated by the build.
+        let edges = [(0, 1), (1, 2), (6, 2), (1, 3), (4, 5)];
+        let built = EulerForest::with_seed(9, 42);
+        built.mark_singleton(6, Mark::NonSpanning);
+        let pair = built.try_reserve_edge_nodes().unwrap();
+        built.build_trees(&edges, vec![pair]);
+        built.validate();
+        let linked = EulerForest::with_seed(9, 42);
+        for &(u, v) in &edges {
+            linked.link(u, v);
+        }
+        for u in 0..9 {
+            for v in 0..9 {
+                assert_eq!(built.connected(u, v), linked.connected(u, v), "({u}, {v})");
+            }
+            let (_, version) = built.find_root(u);
+            assert!(!is_busy(version), "vertex {u}: root left busy");
+        }
+        assert_eq!(built.num_tree_edges(), edges.len());
+        assert_eq!(built.component_size(3), 5);
+        let mut seen = Vec::new();
+        built.visit_marked_vertices(built.component_root(0), Mark::NonSpanning, |v| {
+            seen.push(v);
+            ControlFlow::Continue(())
+        });
+        assert!(seen.contains(&6), "marked vertex must be visited: {seen:?}");
+        // The built trees support the incremental operations.
+        built.cut(1, 2);
+        built.link(3, 6);
+        built.validate();
+        assert!(built.connected(0, 2) && !built.connected(4, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "cycle")]
+    fn build_trees_rejects_a_cycle() {
+        EulerForest::with_seed(4, 1).build_trees(&[(0, 1), (1, 2), (2, 0)], Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "not a singleton")]
+    fn build_trees_rejects_a_linked_endpoint() {
+        let f = EulerForest::with_seed(4, 1);
+        f.link(0, 1);
+        f.build_trees(&[(1, 2)], Vec::new());
     }
 
     #[test]

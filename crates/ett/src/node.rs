@@ -279,6 +279,13 @@ impl Node {
         self.flags.load(Ordering::Relaxed) & (0b11 << AGG_SHIFT)
     }
 
+    /// The aggregate-mark mask of this node's own self-marks (the bulk
+    /// builder ORs it with the children's [`Node::agg_mark_bits`]).
+    #[inline]
+    pub(crate) fn self_mark_bits_as_agg(&self) -> u8 {
+        ((self.flags.load(Ordering::Relaxed) >> SELF_SHIFT) & 0b11) << AGG_SHIFT
+    }
+
     /// Raises the given aggregate-mark bits (a mask from
     /// [`Node::agg_mark_bits`]); skips the RMW when nothing would change.
     #[inline]
