@@ -1,12 +1,12 @@
 //! Criterion micro-benchmarks for the HDT dynamic connectivity core:
 //! single-threaded add/remove/query latency, including spanning-edge
 //! removals that exercise the replacement search and level promotions,
-//! plus before/after benchmarks of the adjacency layer itself (the legacy
-//! per-slot `ConcurrentMultiSet` grid vs the flat `AdjacencyStore`).
+//! plus benchmarks of the adjacency layer itself (the flat
+//! `AdjacencyStore`: construction, add/remove churn, slot visits).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dc_graph::generators;
-use dc_sync::{AdjacencyStore, ConcurrentMultiSet};
+use dc_sync::AdjacencyStore;
 use dynconn::Hdt;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -80,100 +80,54 @@ fn bench_spanning_removal(c: &mut Criterion) {
     group.finish();
 }
 
-/// The seed's adjacency layout: one eagerly-allocated multiset per
-/// `(level, vertex)` pair. Reconstructed here so the layer the tentpole
-/// replaced stays measurable side by side.
-struct LegacyAdjacency {
-    slots: Vec<Vec<ConcurrentMultiSet<u64>>>,
-}
-
-impl LegacyAdjacency {
-    fn new(levels: usize, n: usize) -> Self {
-        LegacyAdjacency {
-            slots: (0..levels)
-                .map(|_| (0..n).map(|_| ConcurrentMultiSet::new()).collect())
-                .collect(),
-        }
-    }
-}
-
 fn bench_adjacency_construction(c: &mut Criterion) {
-    // The cost Hdt::new pays per adjacency grid: the legacy layout
-    // allocates levels*n hashmaps, the flat store allocates twice.
+    // The cost Hdt::new pays per adjacency store: two allocations, whatever
+    // the number of (level, vertex) slots.
     let mut group = c.benchmark_group("adjacency_construction");
     group.sample_size(10);
     for &n in &[10_000usize, 100_000] {
         let levels = (n as f64).log2().floor() as usize + 2;
-        group.bench_with_input(BenchmarkId::new("legacy_multiset_grid", n), &n, |b, _| {
-            b.iter(|| LegacyAdjacency::new(levels, n))
-        });
         group.bench_with_input(BenchmarkId::new("flat_store", n), &n, |b, _| {
-            b.iter(|| AdjacencyStore::<u64>::new(levels, n))
+            b.iter(|| AdjacencyStore::new(levels, n))
         });
     }
     group.finish();
 }
 
 fn bench_adjacency_churn(c: &mut Criterion) {
-    // The write path of add_/remove_nonspanning_info: add and remove edges
-    // on random slots (inline-representation regime, 0-4 edges per slot).
+    // The write path of add_/remove_nonspanning_info: add and remove a
+    // neighbor on random slots (inline regime, 0-4 neighbors per slot).
     let mut group = c.benchmark_group("adjacency_churn");
     let n = 10_000usize;
     let levels = 16;
-    let legacy = LegacyAdjacency::new(levels, n);
-    let store: AdjacencyStore<u64> = AdjacencyStore::new(levels, n);
+    let store = AdjacencyStore::new(levels, n);
     let mut rng = StdRng::seed_from_u64(29);
-    group.bench_function("legacy_multiset_grid", |b| {
-        b.iter(|| {
-            let level = rng.gen_range(0..levels);
-            let vertex = rng.gen_range(0..n);
-            let edge = rng.gen_range(0..1_000_000u64);
-            legacy.slots[level][vertex].add(edge);
-            legacy.slots[level][vertex].remove(&edge)
-        })
-    });
     group.bench_function("flat_store", |b| {
         b.iter(|| {
             let level = rng.gen_range(0..levels);
             let vertex = rng.gen_range(0..n) as u32;
-            let edge = rng.gen_range(0..1_000_000u64);
-            store.add(level, vertex, edge);
-            store.remove(level, vertex, &edge)
+            let nbr = rng.gen_range(0..n as u32);
+            store.add(level, vertex, nbr);
+            store.remove(level, vertex, nbr)
         })
     });
     group.finish();
 }
 
 fn bench_adjacency_scan(c: &mut Criterion) {
-    // The read path of the replacement search: visit every edge of a slot.
-    // The legacy layout clones a snapshot Vec per visit; the flat store
-    // streams through a stack buffer.
+    // The read path of the replacement search: visit every neighbor of a
+    // slot through the store's stack buffer, inline (degree 3) and spilled
+    // (degree 24).
     let mut group = c.benchmark_group("adjacency_scan_visit");
     let n = 4_096usize;
     for &degree in &[3usize, 24] {
-        let legacy = LegacyAdjacency::new(1, n);
-        let store: AdjacencyStore<u64> = AdjacencyStore::new(1, n);
+        let store = AdjacencyStore::new(1, n);
         for v in 0..n {
             for d in 0..degree {
-                legacy.slots[0][v].add((v * 31 + d) as u64);
-                store.add(0, v as u32, (v * 31 + d) as u64);
+                store.add(0, v as u32, ((v * 31 + d) % n) as u32);
             }
         }
         let mut rng = StdRng::seed_from_u64(31);
-        group.bench_with_input(
-            BenchmarkId::new("legacy_snapshot_vec", degree),
-            &degree,
-            |b, _| {
-                b.iter(|| {
-                    let v = rng.gen_range(0..n);
-                    let mut sum = 0u64;
-                    for edge in legacy.slots[0][v].snapshot() {
-                        sum = sum.wrapping_add(edge);
-                    }
-                    sum
-                })
-            },
-        );
         group.bench_with_input(
             BenchmarkId::new("flat_store_visitor", degree),
             &degree,
@@ -181,8 +135,8 @@ fn bench_adjacency_scan(c: &mut Criterion) {
                 b.iter(|| {
                     let v = rng.gen_range(0..n) as u32;
                     let mut sum = 0u64;
-                    let _ = store.for_each_edge(0, v, |edge| {
-                        sum = sum.wrapping_add(edge);
+                    let _ = store.for_each_edge(0, v, |nbr| {
+                        sum = sum.wrapping_add(nbr as u64);
                         ControlFlow::Continue(())
                     });
                     sum

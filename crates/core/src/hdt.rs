@@ -36,8 +36,10 @@
 //!   Level forests above 0 are equally lazy (`OnceLock` per level), so
 //!   `Hdt::new(n)` allocates one forest of `n` vertices and nothing per
 //!   upper level.
-//! * **Slots are inline small sets.** Up to four distinct edges are stored
-//!   in place (the common case: Table 3's per-vertex degrees are tiny);
+//! * **Slots hold neighbor ids.** Edge `{u, v}` is filed as `v` in slot
+//!   `(level, u)` and as `u` in slot `(level, v)`; a visit rebuilds it as
+//!   `Edge::new(vertex, neighbor)`. Up to four ids sit in place in a
+//!   24-byte slot (the common case: Table 3's per-vertex degrees are tiny);
 //!   higher-degree slots spill into a private open-addressed table.
 //! * **The hot paths never clone snapshots.** The replacement search
 //!   ([`Hdt::remove_edge_locked`] → `scan_for_replacement`) streams each
@@ -186,6 +188,14 @@ impl SingletonMarks {
     }
 }
 
+/// Each endpoint of `edge` paired with the other one: the slot an
+/// adjacency store files the edge under, and the neighbor id it stores.
+#[inline]
+fn ends(edge: Edge) -> [(u32, u32); 2] {
+    let (u, v) = edge.endpoints();
+    [(u, v), (v, u)]
+}
+
 /// Handle to the component locks acquired by [`Hdt::lock_components`].
 #[derive(Debug, Clone, Copy)]
 pub struct LockedComponents {
@@ -201,10 +211,11 @@ pub struct Hdt {
     /// (it answers every query); levels `>= 1` are only built when the first
     /// promotion reaches them, so `Hdt::new` is O(n) instead of O(n log n).
     levels: Vec<OnceLock<EulerForest>>,
-    /// Adjacent non-spanning edges, slot `(level, vertex)`.
-    nontree_adj: AdjacencyStore<Edge>,
-    /// Adjacent spanning edges of exactly `level`, slot `(level, vertex)`.
-    tree_adj: AdjacencyStore<Edge>,
+    /// Adjacent non-spanning edges, slot `(level, vertex)`, as far endpoints.
+    nontree_adj: AdjacencyStore,
+    /// Adjacent spanning edges of exactly `level`, slot `(level, vertex)`,
+    /// as far endpoints.
+    tree_adj: AdjacencyStore,
     /// Status + level + tag per edge (absence = removed / never added).
     pub(crate) states: ShardedMap<Edge, EdgeState>,
     /// In-flight spanning-edge removals, keyed by the component's level-0
@@ -275,12 +286,12 @@ impl Hdt {
     }
 
     /// The non-spanning adjacency store (tests and diagnostics).
-    pub fn nontree_store(&self) -> &AdjacencyStore<Edge> {
+    pub fn nontree_store(&self) -> &AdjacencyStore {
         &self.nontree_adj
     }
 
     /// The exact-level spanning adjacency store (tests and diagnostics).
-    pub fn tree_store(&self) -> &AdjacencyStore<Edge> {
+    pub fn tree_store(&self) -> &AdjacencyStore {
         &self.tree_adj
     }
 
@@ -355,7 +366,7 @@ impl Hdt {
         }
         matches!(
             self.states.get(&Edge::new(u, v)),
-            Some(st) if st.status != Status::Initial
+            Some(st) if st.status() != Status::Initial
         )
     }
 
@@ -528,22 +539,22 @@ impl Hdt {
         }
         let edge = Edge::new(u, v);
         let state = match self.states.get(&edge) {
-            Some(st) if st.status != Status::Initial => st,
+            Some(st) if st.status() != Status::Initial => st,
             _ => return false,
         };
         self.stats.removals.fetch_add(1, Ordering::Relaxed);
         dc_obs::counter_add(dc_obs::Counter::HdtRemovals, 1);
-        match state.status {
+        match state.status() {
             Status::NonSpanning => {
                 self.stats
                     .non_spanning_removals
                     .fetch_add(1, Ordering::Relaxed);
                 dc_obs::counter_add(dc_obs::Counter::HdtNonSpanningRemovals, 1);
-                self.remove_nonspanning_info(state.level as usize, edge);
+                self.remove_nonspanning_info(state.level() as usize, edge);
                 self.states.remove(&edge);
             }
             Status::Spanning | Status::InProgress => {
-                self.remove_spanning_edge(edge, state.level as usize);
+                self.remove_spanning_edge(edge, state.level() as usize);
                 self.states.remove(&edge);
             }
             Status::Initial => unreachable!(),
@@ -743,8 +754,8 @@ impl Hdt {
                 let edge = Edge::new(u, v);
                 let state = self.states.get(&edge);
                 let level = match &state {
-                    Some(st) if st.status == Status::Spanning && st.level as usize >= lvl => {
-                        st.level as usize
+                    Some(st) if st.status() == Status::Spanning && st.level() as usize >= lvl => {
+                        st.level() as usize
                     }
                     _ => panic!(
                         "checkpoint export: forest {lvl} holds {edge:?} but the state map \
@@ -763,21 +774,21 @@ impl Hdt {
             "checkpoint export: spanning walk disagrees with the level-0 forest"
         );
         let mut nonspanning_count = 0usize;
-        self.nontree_adj
-            .for_each_entry(|level, vertex, edge: Edge| {
-                if vertex != edge.u() {
-                    return;
-                }
-                let state = self.states.get(&edge);
-                assert!(
-                    matches!(&state, Some(st) if st.status == Status::NonSpanning
-                    && st.level as usize == level),
-                    "checkpoint export: adjacency level {level} holds {edge:?} but the \
+        self.nontree_adj.for_each_entry(|level, vertex, nbr| {
+            if vertex > nbr {
+                return;
+            }
+            let edge = Edge::new(vertex, nbr);
+            let state = self.states.get(&edge);
+            assert!(
+                matches!(&state, Some(st) if st.status() == Status::NonSpanning
+                    && st.level() as usize == level),
+                "checkpoint export: adjacency level {level} holds {edge:?} but the \
                  state map says {state:?}"
-                );
-                nonspanning(edge.u(), edge.v(), level as u8);
-                nonspanning_count += 1;
-            });
+            );
+            nonspanning(edge.u(), edge.v(), level as u8);
+            nonspanning_count += 1;
+        });
         assert_eq!(
             spanning_count + nonspanning_count,
             self.states.len(),
@@ -929,8 +940,8 @@ impl Hdt {
         } else {
             (&self.nontree_adj, Mark::NonSpanning)
         };
-        for x in [edge.u(), edge.v()] {
-            store.add(level, x, edge);
+        for (x, far) in ends(edge) {
+            store.add(level, x, far);
             marks.set(level, mark, x);
         }
     }
@@ -941,8 +952,8 @@ impl Hdt {
     /// and raises the subtree flags (paper Listing 6, `add_info`). Lock-free.
     pub(crate) fn add_nonspanning_info(&self, level: usize, edge: Edge) {
         let forest = self.forest(level);
-        for v in [edge.u(), edge.v()] {
-            self.nontree_adj.add(level, v, edge);
+        for (v, far) in ends(edge) {
+            self.nontree_adj.add(level, v, far);
             forest.mark_path_upward(v, Mark::NonSpanning);
         }
     }
@@ -952,8 +963,8 @@ impl Hdt {
     /// lowered with the re-check dance so racing insertions are never lost.
     pub(crate) fn remove_nonspanning_info(&self, level: usize, edge: Edge) {
         let forest = self.forest(level);
-        for v in [edge.u(), edge.v()] {
-            self.nontree_adj.remove(level, v, &edge);
+        for (v, far) in ends(edge) {
+            self.nontree_adj.remove(level, v, far);
             if self.nontree_adj.is_empty(level, v) {
                 forest.set_vertex_self_mark(v, Mark::NonSpanning, false);
                 if !self.nontree_adj.is_empty(level, v) {
@@ -973,8 +984,8 @@ impl Hdt {
         self.forest(0).try_link(u, v)?;
         dc_obs::event(dc_obs::EventKind::Link, 0, dc_obs::pack_edge(u, v));
         let forest = self.forest(0);
-        for x in [u, v] {
-            self.tree_adj.add(0, x, edge);
+        for (x, far) in ends(edge) {
+            self.tree_adj.add(0, x, far);
             forest.mark_path_upward(x, Mark::Spanning);
         }
         Ok(())
@@ -994,16 +1005,16 @@ impl Hdt {
             self.forest(lvl).link(u, v);
         }
         let forest = self.forest(level);
-        for x in [u, v] {
-            self.tree_adj.add(level, x, edge);
+        for (x, far) in ends(edge) {
+            self.tree_adj.add(level, x, far);
             forest.mark_path_upward(x, Mark::Spanning);
         }
     }
 
     fn remove_tree_adj(&self, level: usize, edge: Edge) {
         let forest = self.forest(level);
-        for x in [edge.u(), edge.v()] {
-            self.tree_adj.remove(level, x, &edge);
+        for (x, far) in ends(edge) {
+            self.tree_adj.remove(level, x, far);
             if self.tree_adj.is_empty(level, x) {
                 forest.set_vertex_self_mark(x, Mark::Spanning, false);
             }
@@ -1098,8 +1109,8 @@ impl Hdt {
                 // grace period.
                 self.forest(0).retire_cut_nodes(&prepared);
                 let forest = self.forest(lvl);
-                for x in [fu, fv] {
-                    self.tree_adj.add(lvl, x, found);
+                for (x, far) in ends(found) {
+                    self.tree_adj.add(lvl, x, far);
                     forest.mark_path_upward(x, Mark::Spanning);
                 }
             }
@@ -1132,12 +1143,13 @@ impl Hdt {
         // Promotion is a drain: every copy in this slot either moves up
         // one level or is a stale duplicate to discard, so `pop` removes
         // entries one at a time with no snapshot allocation.
-        while let Some(edge) = self.tree_adj.pop(level, vertex) {
+        while let Some(far) = self.tree_adj.pop(level, vertex) {
+            let edge = Edge::new(vertex, far);
             // The edge may have been promoted already through its other
             // endpoint; the state map is the source of truth (a stale
             // copy is simply dropped — `pop` already removed it).
             let state = match self.states.get(&edge) {
-                Some(st) if st.status == Status::Spanning && st.level as usize == level => st,
+                Some(st) if st.status() == Status::Spanning && st.level() as usize == level => st,
                 _ => continue,
             };
             let next_level = level + 1;
@@ -1152,8 +1164,8 @@ impl Hdt {
             self.remove_tree_adj(level, edge);
             self.forest(next_level).link(eu, ev);
             let upper = self.forest(next_level);
-            for x in [eu, ev] {
-                self.tree_adj.add(next_level, x, edge);
+            for (x, far) in ends(edge) {
+                self.tree_adj.add(next_level, x, far);
                 upper.mark_path_upward(x, Mark::Spanning);
             }
             self.states
@@ -1186,7 +1198,7 @@ impl Hdt {
         let forest = self.forest(level);
         let mut found = None;
         forest.visit_marked_vertices(root, Mark::NonSpanning, |vertex| {
-            found = self.scan_vertex(level, vertex, sampling_budget);
+            found = self.scan_vertex(level, vertex, root, sampling_budget);
             if found.is_some() {
                 ControlFlow::Break(())
             } else {
@@ -1196,31 +1208,47 @@ impl Hdt {
         found
     }
 
-    /// Returns `true` if `edge` reconnects the two pieces of the level-`lvl`
-    /// forest (exact, writer-side check — valid under the component lock).
-    fn crosses(&self, level: usize, edge: Edge) -> bool {
+    /// Returns `true` if `edge`, whose endpoint other than `far` lies in
+    /// the scanned tree of `root`, reconnects the two pieces of the
+    /// level-`level` forest (exact, writer-side check — valid under the
+    /// component lock). One climb, from the far endpoint: the scanned
+    /// side's root is already known.
+    fn crosses(&self, level: usize, edge: Edge, far: u32, root: NodeRef) -> bool {
         let forest = self.forest(level);
-        forest.component_root(edge.u()) != forest.component_root(edge.v())
+        let crosses = forest.component_root(far) != root;
+        debug_assert_eq!(
+            crosses,
+            forest.component_root(edge.u()) != forest.component_root(edge.v()),
+            "{edge:?}: the near endpoint is outside the scanned tree"
+        );
+        crosses
     }
 
-    fn scan_vertex(&self, level: usize, vertex: u32, sampling_budget: &mut usize) -> Option<Edge> {
+    fn scan_vertex(
+        &self,
+        level: usize,
+        vertex: u32,
+        root: NodeRef,
+        sampling_budget: &mut usize,
+    ) -> Option<Edge> {
         // Allocation-free visit: edges stream through the store's fixed
         // chunk buffer, and the closure may mutate the very slot being
         // visited (promotions below remove from it) — the visitor restarts
         // on reorganization, and every arm here is idempotent per edge.
         let mut found = None;
-        let _ = self.nontree_adj.for_each_edge(level, vertex, |edge| {
+        let _ = self.nontree_adj.for_each_edge(level, vertex, |far| {
+            let edge = Edge::new(vertex, far);
             let state = match self.states.get(&edge) {
                 Some(st) => st,
                 // Removed concurrently; the copy is cleaned by its owner.
                 None => return ControlFlow::Continue(()),
             };
-            match state.status {
+            match state.status() {
                 Status::Initial => {
                     // A lock-free addition is in flight (level is always 0 for
                     // Initial edges). Help it complete (paper Listing 10).
                     debug_assert_eq!(level, 0);
-                    if self.crosses(level, edge) {
+                    if self.crosses(level, edge, far, root) {
                         if self
                             .states
                             .compare_exchange(
@@ -1253,8 +1281,8 @@ impl Hdt {
                         }
                     }
                 }
-                Status::NonSpanning if state.level as usize == level => {
-                    if self.crosses(level, edge) {
+                Status::NonSpanning if state.level() as usize == level => {
+                    if self.crosses(level, edge, far, root) {
                         if self
                             .states
                             .compare_exchange(
@@ -1313,11 +1341,11 @@ impl Hdt {
         }
         self.states.for_each(|edge, state| {
             let (u, v) = edge.endpoints();
-            match state.status {
+            match state.status() {
                 Status::Spanning => {
                     for (lvl, level) in self.levels.iter().enumerate() {
                         let present = level.get().is_some_and(|f| f.has_tree_edge(u, v));
-                        if lvl <= state.level as usize {
+                        if lvl <= state.level() as usize {
                             assert!(present, "spanning edge {edge:?} missing from forest {lvl}");
                         } else {
                             assert!(!present, "spanning edge {edge:?} present above its level");
@@ -1325,14 +1353,14 @@ impl Hdt {
                     }
                 }
                 Status::NonSpanning => {
-                    let lvl = state.level as usize;
+                    let lvl = state.level() as usize;
                     assert!(
                         self.forest(0).same_tree_locked(u, v),
                         "non-spanning edge {edge:?} crosses components"
                     );
                     assert!(
-                        self.nontree_adj.contains(lvl, u, edge)
-                            && self.nontree_adj.contains(lvl, v, edge),
+                        self.nontree_adj.contains(lvl, u, v)
+                            && self.nontree_adj.contains(lvl, v, u),
                         "non-spanning edge {edge:?} missing adjacency info at level {lvl}"
                     );
                     for level in self.levels.iter() {
@@ -1396,19 +1424,22 @@ mod tests {
     fn upper_forest_levels_materialize_only_when_promoted_into() {
         let hdt = Hdt::with_sampling(16, 0); // sampling off => eager promotion
         assert_eq!(hdt.materialized_forest_levels(), 1);
-        // A dense clique forces replacement searches that promote edges.
-        for u in 0..8 {
-            for v in (u + 1)..8 {
-                hdt.add_edge_locked(u, v);
-            }
-        }
-        for u in 0..8 {
-            for v in (u + 1)..8u32 {
-                if (u + v) % 2 == 0 {
-                    hdt.remove_edge_locked(u, v);
+        // Two 4-cliques joined by a spanning bridge (0, 4) and a non-spanning
+        // one (1, 5). Cutting (0, 4) leaves two equal halves, so whichever
+        // the search takes as the smaller side holds three spanning edges to
+        // promote, in any slot visiting order.
+        for base in [0, 4] {
+            for u in base..base + 4 {
+                for v in (u + 1)..base + 4 {
+                    hdt.add_edge_locked(u, v);
                 }
             }
         }
+        hdt.add_edge_locked(0, 4);
+        hdt.add_edge_locked(1, 5);
+        assert_eq!(hdt.materialized_forest_levels(), 1);
+        hdt.remove_edge_locked(0, 4);
+        assert!(hdt.connected(0, 4), "(1, 5) replaces the bridge");
         assert!(
             hdt.materialized_forest_levels() > 1,
             "promotions must have reached level 1"

@@ -72,7 +72,7 @@ impl<L: UpdateLocking> DynamicConnectivity for NonBlockingVariant<L> {
         let mut initial = EdgeState::initial();
         match self.hdt.states.put_if_absent(edge, initial) {
             None => {}
-            Some(st) if st.status == Status::Initial => initial = st,
+            Some(st) if st.status() == Status::Initial => initial = st,
             Some(_) => return,
         }
         loop {
@@ -81,7 +81,7 @@ impl<L: UpdateLocking> DynamicConnectivity for NonBlockingVariant<L> {
                 None => return, // removed concurrently; linearize add before that removal
             };
             if current != initial {
-                if current.status == Status::InProgress {
+                if current.status() == Status::InProgress {
                     // A concurrent thread is inserting this edge into the
                     // spanning forest; wait for it by passing through the
                     // locks once.
@@ -144,7 +144,7 @@ impl<L: UpdateLocking> DynamicConnectivity for NonBlockingVariant<L> {
                 Some(st) => st,
                 None => return, // absent
             };
-            match state.status {
+            match state.status() {
                 Status::Initial => {
                     // Not added yet: linearize the removal before the
                     // concurrent addition completes (paper Listing 7).
@@ -160,7 +160,8 @@ impl<L: UpdateLocking> DynamicConnectivity for NonBlockingVariant<L> {
                     // Linearize by removing the state, then retract the
                     // adjacency information.
                     if self.hdt.states.remove_if(&edge, &state).is_ok() {
-                        self.hdt.remove_nonspanning_info(state.level as usize, edge);
+                        self.hdt
+                            .remove_nonspanning_info(state.level() as usize, edge);
                         self.hdt.record_removal(true);
                         return;
                     }

@@ -3,8 +3,8 @@
 //! Every hot-path hash in this project keys on small integers or integer
 //! pairs (edges, node references), for which SipHash is needlessly slow.
 //! [`FxHasher`] is the FxHash-style multiply-xor hasher previously private
-//! to [`crate::cmap`]; it now lives here so the sharded map, the concurrent
-//! multiset and the adjacency store all share one definition.
+//! to [`crate::cmap`]; it now lives here so the sharded map and the
+//! adjacency store's lock stripes share one definition.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -9,11 +9,8 @@
 //!   linearizable `compare_exchange`, used for the edge-status table
 //!   (`ConcurrentHashMap<Edge, State>` in the paper's Listing 5).
 //! * [`adjacency::AdjacencyStore`] — the flat, lazily-materialized,
-//!   allocation-free per-(level, vertex) adjacency multiset store backing
+//!   allocation-free per-(level, vertex) multiset of neighbor ids backing
 //!   the HDT level structure's hot paths.
-//! * [`multiset::ConcurrentMultiSet`] — a concurrent multiset with snapshot
-//!   iteration; previously backed the adjacency sets, now kept as the
-//!   differential-testing oracle for [`adjacency::AdjacencyStore`].
 //! * [`epoch`] — epoch-based memory reclamation (the from-scratch
 //!   substitute for the JVM garbage collector the paper's lock-free reads
 //!   lean on); used by the Euler Tour Tree arena to recycle retired node
@@ -46,7 +43,6 @@ pub mod elision;
 pub mod epoch;
 pub mod hash;
 pub mod intake;
-pub mod multiset;
 pub mod prefetch;
 pub mod rwspinlock;
 pub mod spinlock;
@@ -61,7 +57,6 @@ pub use elision::ElisionLock;
 pub use epoch::{EpochDomain, EpochGuard, Limbo};
 pub use hash::{FxBuildHasher, FxHasher};
 pub use intake::{IntakeArray, SlotPoll};
-pub use multiset::ConcurrentMultiSet;
 pub use prefetch::prefetch_read;
 pub use rwspinlock::RawRwLock;
 pub use spinlock::RawSpinLock;

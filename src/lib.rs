@@ -41,8 +41,9 @@
 //! The HDT core's per-`(level, vertex)` adjacency multisets live in
 //! [`sync::adjacency::AdjacencyStore`]: a flat slab indexed by
 //! `level * n + vertex` whose pages materialize lazily on first write, with
-//! an inline representation for the common 0–4-edge slots and striped
-//! spinlocks for synchronization.  Consequences readers can rely on:
+//! each edge stored as its far endpoint's id, four ids inline in a 24-byte
+//! slot for the common 0–4-edge slots, and striped spinlocks for
+//! synchronization.  Consequences readers can rely on:
 //!
 //! * `Hdt::new(n)` performs O(1) heap allocations for adjacency and builds
 //!   only the level-0 forest (upper levels materialize when a promotion

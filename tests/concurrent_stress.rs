@@ -13,8 +13,9 @@ use concurrent_dynamic_connectivity::{DynamicConnectivity, Variant};
 use dynconn::RecomputeOracle;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Variants worth stressing concurrently (one per synchronization family);
 /// running all thirteen would multiply the runtime without adding coverage.
@@ -109,11 +110,17 @@ fn readers_never_observe_phantom_splits_or_merges() {
             dc.add_edge(v, v + 1);
         }
         let stop = Arc::new(AtomicBool::new(false));
+        // Readers that have completed a check. The writers start churning
+        // only once both readers are running, so on a host with fewer cores
+        // than threads a reader the scheduler starts late still overlaps
+        // the churn instead of finding it already over.
+        let readers_running = Arc::new(AtomicUsize::new(0));
         std::thread::scope(|s| {
             // Two readers.
             for r in 0..2u64 {
                 let dc = Arc::clone(&dc);
                 let stop = Arc::clone(&stop);
+                let readers_running = Arc::clone(&readers_running);
                 let name = variant.name();
                 s.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(r);
@@ -127,6 +134,9 @@ fn readers_never_observe_phantom_splits_or_merges() {
                             "{name}: isolated vertex joined the backbone"
                         );
                         checks += 1;
+                        if checks == 1 {
+                            readers_running.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                     assert!(checks > 0, "{name}: reader made no progress");
                 });
@@ -135,7 +145,14 @@ fn readers_never_observe_phantom_splits_or_merges() {
             for w in 0..2u64 {
                 let dc = Arc::clone(&dc);
                 let stop = Arc::clone(&stop);
+                let readers_running = Arc::clone(&readers_running);
                 s.spawn(move || {
+                    // Bounded, so a reader that panics on its first check
+                    // fails the test instead of hanging it.
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while readers_running.load(Ordering::Relaxed) < 2 && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
                     let lo = backbone_len + w as u32 * 30;
                     let hi = lo + 30;
                     let mut rng = StdRng::seed_from_u64(0xBEEF ^ w);
