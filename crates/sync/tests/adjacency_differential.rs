@@ -228,10 +228,9 @@ proptest! {
     }
 }
 
-/// The oracle itself: copies are counted, removal takes one copy, and the
-/// distinct set lists each neighbor once.
+/// The oracle itself: copies are counted and removal takes one copy.
 #[test]
-fn oracle_counts_copies_and_lists_distinct_neighbors() {
+fn oracle_add_remove_counts() {
     let mut s = MultiSet::default();
     assert_eq!(s.len(), 0);
     s.add(7);
@@ -243,6 +242,19 @@ fn oracle_counts_copies_and_lists_distinct_neighbors() {
     assert!(s.remove(7));
     assert!(!s.remove(7));
     assert_eq!(s.distinct(), HashSet::from([9]));
+}
+
+/// The oracle's distinct set lists each neighbor once, however many copies
+/// it holds.
+#[test]
+fn oracle_lists_distinct_elements() {
+    let mut s = MultiSet::default();
+    for i in 0..10u32 {
+        s.add(i);
+        s.add(i);
+    }
+    assert_eq!(s.len(), 20);
+    assert_eq!(s.distinct(), (0..10u32).collect::<HashSet<_>>());
 }
 
 /// Concurrent differential smoke: per-thread disjoint key ranges let every
