@@ -27,7 +27,8 @@
 //! and batch-amortized latency percentiles (p50/p99/p999) alongside
 //! throughput.
 
-use crate::report::{json_number, json_string};
+use crate::config::{quick, threads_or};
+use crate::report::{document, Json};
 use crate::scenario::{Scenario, Workload};
 use crate::stats::LatencyHistogram;
 use crate::throughput::run_throughput;
@@ -74,10 +75,7 @@ impl BatchBenchConfig {
     /// The tracked configuration (shrunk under `DC_BENCH_QUICK=1`,
     /// thread count overridable via `DC_BENCH_THREADS`).
     pub fn from_env() -> Self {
-        let quick = std::env::var("DC_BENCH_QUICK")
-            .map(|v| v != "0")
-            .unwrap_or(false);
-        let mut config = if quick {
+        let mut config = if quick() {
             BatchBenchConfig {
                 n: 512,
                 hot_edges: 128,
@@ -108,15 +106,7 @@ impl BatchBenchConfig {
                 repeats: 3,
             }
         };
-        if let Ok(v) = std::env::var("DC_BENCH_THREADS") {
-            if let Some(t) = v
-                .split(',')
-                .filter_map(|s| s.trim().parse::<usize>().ok())
-                .max()
-            {
-                config.threads = t.max(1);
-            }
-        }
+        config.threads = threads_or(config.threads);
         config
     }
 
@@ -160,8 +150,6 @@ pub struct SweepCell {
 /// The full batch measurement, serialized as `BENCH_batch.json`.
 #[derive(Clone, Debug, Default)]
 pub struct BatchBaseline {
-    /// Short git revision.
-    pub git_rev: String,
     /// The configuration the numbers were measured at.
     pub config: Option<BatchBenchConfig>,
     /// Burst scenario: the batch engine plus every single-op variant.
@@ -337,7 +325,6 @@ fn keep_best(cells: &mut Vec<BatchCell>, mut cell: BatchCell, label: &str) -> bo
 /// per cell.
 pub fn run_batch_bench(config: &BatchBenchConfig) -> BatchBaseline {
     let mut baseline = BatchBaseline {
-        git_rev: crate::ettbench::git_rev(),
         config: Some(config.clone()),
         ..Default::default()
     };
@@ -518,81 +505,61 @@ pub fn run_batch_bench(config: &BatchBenchConfig) -> BatchBaseline {
     baseline
 }
 
-fn push_cells(out: &mut String, cells: &[BatchCell]) {
-    for (i, cell) in cells.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {}: {{ \"ops_per_sec\": {}, \"active_time_percent\": {}, \"wait_ms\": {}, \
-             \"p50_nanos\": {}, \"p99_nanos\": {}, \"p999_nanos\": {} }}",
-            json_string(&cell.label),
-            json_number(cell.ops_per_sec),
-            json_number(cell.active_time_percent),
-            json_number(cell.wait_ms),
-            cell.p50_nanos,
-            cell.p99_nanos,
-            cell.p999_nanos
-        ));
-    }
+/// The cells of one scenario, keyed by label.
+fn cells_json(cells: &[BatchCell]) -> Json {
+    Json::obj(cells.iter().map(|c| {
+        let cell = Json::obj([
+            ("ops_per_sec", Json::Num(c.ops_per_sec)),
+            ("active_time_percent", Json::Num(c.active_time_percent)),
+            ("wait_ms", Json::Num(c.wait_ms)),
+            ("p50_nanos", Json::Int(c.p50_nanos)),
+            ("p99_nanos", Json::Int(c.p99_nanos)),
+            ("p999_nanos", Json::Int(c.p999_nanos)),
+        ]);
+        (c.label.as_str(), cell)
+    }))
 }
 
 impl BatchBaseline {
-    /// Renders the measurement as pretty JSON.
+    /// Renders the measurement as the `dc-bench/batch/v2` document.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"dc-bench/batch/v2\",\n");
-        out.push_str(&format!("  \"git_rev\": {},\n", json_string(&self.git_rev)));
-        if let Some(config) = &self.config {
-            out.push_str("  \"scenario\": {\n");
-            out.push_str(&format!("    \"vertices\": {},\n", config.n));
-            out.push_str(&format!("    \"hot_edges\": {},\n", config.hot_edges));
-            out.push_str(&format!("    \"burst\": {},\n", config.burst));
-            out.push_str(&format!(
-                "    \"bursts_per_thread\": {},\n",
-                config.bursts_per_thread
-            ));
-            out.push_str(&format!("    \"threads\": {},\n", config.threads));
-            out.push_str(&format!("    \"read_percent\": {},\n", config.read_percent));
-            out.push_str(&format!("    \"bulk_edges\": {},\n", config.bulk_edges));
-            out.push_str(&format!("    \"repeats_best_of\": {}\n", config.repeats));
-            out.push_str("  },\n");
+        let mut fields = Vec::new();
+        if let Some(c) = &self.config {
+            let scenario = Json::obj([
+                ("vertices", Json::int(c.n)),
+                ("hot_edges", Json::int(c.hot_edges)),
+                ("burst", Json::int(c.burst)),
+                ("bursts_per_thread", Json::int(c.bursts_per_thread)),
+                ("threads", Json::int(c.threads)),
+                ("read_percent", Json::int(c.read_percent)),
+                ("bulk_edges", Json::int(c.bulk_edges)),
+                ("repeats_best_of", Json::int(c.repeats)),
+            ]);
+            fields.push(("scenario", scenario));
         }
-        out.push_str("  \"burst\": {");
-        push_cells(&mut out, &self.burst);
-        out.push_str("\n  },\n");
-        out.push_str(&format!(
-            "  \"burst_speedup_vs_best_single\": {},\n",
-            json_number(self.burst_speedup_vs_best_single)
-        ));
-        out.push_str(&format!(
-            "  \"burst_compaction_ratio\": {},\n",
-            json_number(self.burst_compaction_ratio)
-        ));
-        out.push_str("  \"bulk_load\": {");
-        push_cells(&mut out, &self.bulk_load);
-        out.push_str("\n  },\n");
-        out.push_str(&format!(
-            "  \"bulk_speedup\": {},\n",
-            json_number(self.bulk_speedup)
-        ));
-        out.push_str("  \"batch_size_sweep\": [");
-        for (i, cell) in self.sweep.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{ \"batch\": {}, \"ops_per_sec\": {}, \"compaction_ratio\": {} }}",
-                cell.batch,
-                json_number(cell.ops_per_sec),
-                json_number(cell.compaction_ratio)
-            ));
-        }
-        out.push_str("\n  ],\n");
-        out.push_str("  \"adapter_scenarios\": {");
-        push_cells(&mut out, &self.adapter_scenarios);
-        out.push_str("\n  }\n}\n");
-        out
+        let sweep = self.sweep.iter().map(|c| {
+            Json::obj([
+                ("batch", Json::int(c.batch)),
+                ("ops_per_sec", Json::Num(c.ops_per_sec)),
+                ("compaction_ratio", Json::Num(c.compaction_ratio)),
+            ])
+        });
+        fields.extend([
+            ("burst", cells_json(&self.burst)),
+            (
+                "burst_speedup_vs_best_single",
+                Json::Num(self.burst_speedup_vs_best_single),
+            ),
+            (
+                "burst_compaction_ratio",
+                Json::Num(self.burst_compaction_ratio),
+            ),
+            ("bulk_load", cells_json(&self.bulk_load)),
+            ("bulk_speedup", Json::Num(self.bulk_speedup)),
+            ("batch_size_sweep", Json::Arr(sweep.collect())),
+            ("adapter_scenarios", cells_json(&self.adapter_scenarios)),
+        ]);
+        document("dc-bench/batch/v2", fields)
     }
 
     /// Renders an aligned text table.
@@ -604,8 +571,7 @@ impl BatchBaseline {
             .map(|c| (c.threads, c.burst))
             .unwrap_or((0, 0));
         out.push_str(&format!(
-            "== Batch engine (burst = {burst} ops, {threads} threads, rev {}) ==\n",
-            self.git_rev
+            "== Batch engine (burst = {burst} ops, {threads} threads) ==\n"
         ));
         out.push_str(&format!(
             "{:<44}{:>14}{:>12}{:>12}\n",

@@ -1,11 +1,13 @@
-//! Benchmark configuration shared by every figure/table binary.
+//! Benchmark configuration shared by every figure/table binary and the
+//! `summary` tiers.
 //!
 //! The paper's experiments run on a 144-hardware-thread server with graphs of
 //! up to 91M edges; reproduction hosts are much smaller, so every dimension
 //! (graph scale, operations per thread, thread counts) is configurable and
 //! defaults to a size that completes in minutes on a laptop.  Environment
-//! variables override the defaults so `cargo bench` / CI can run a quick
-//! smoke pass (`DC_BENCH_QUICK=1`) while a full run uses larger settings.
+//! variables override the defaults so CI can run a quick smoke pass
+//! (`DC_BENCH_QUICK=1`, read by [`quick`]) while a full run uses larger
+//! settings.
 
 use dc_graph::ScaledCatalog;
 
@@ -30,19 +32,15 @@ pub struct BenchConfig {
 impl BenchConfig {
     /// Builds the configuration from the environment.
     ///
-    /// * `DC_BENCH_QUICK=1` — tiny sizes for smoke testing (default when run
-    ///   under `cargo bench` in CI).
+    /// * `DC_BENCH_QUICK=1` — tiny sizes for smoke testing.
     /// * `DC_BENCH_SMALL_VERTICES`, `DC_BENCH_LARGE_VERTICES`,
     ///   `DC_BENCH_OPS`, `DC_BENCH_THREADS` (comma-separated) override
     ///   individual knobs.
     pub fn from_env() -> Self {
-        let quick = std::env::var("DC_BENCH_QUICK")
-            .map(|v| v != "0")
-            .unwrap_or(false);
         let hw_threads = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1);
-        let mut config = if quick {
+        let mut config = if quick() {
             BenchConfig {
                 small_vertices: 2_000,
                 large_vertices: 8_000,
@@ -76,16 +74,10 @@ impl BenchConfig {
                 config.ops_per_thread = n;
             }
         }
-        if let Ok(v) = std::env::var("DC_BENCH_THREADS") {
-            let parsed: Vec<usize> = v
-                .split(',')
-                .filter_map(|s| s.trim().parse().ok())
-                .filter(|&t| t >= 1)
-                .collect();
-            if !parsed.is_empty() {
-                config.max_threads = *parsed.iter().max().unwrap();
-                config.thread_counts = dedup_sorted(parsed);
-            }
+        let threads = thread_list();
+        if let Some(&max) = threads.iter().max() {
+            config.max_threads = max;
+            config.thread_counts = dedup_sorted(threads);
         }
         config
     }
@@ -98,6 +90,31 @@ impl BenchConfig {
             seed: self.seed,
         }
     }
+}
+
+/// Whether `DC_BENCH_QUICK` asks for the small smoke-test sizes (set and
+/// not `0`).
+pub fn quick() -> bool {
+    std::env::var("DC_BENCH_QUICK").is_ok_and(|v| v != "0")
+}
+
+/// The thread counts listed in `DC_BENCH_THREADS` (comma-separated;
+/// malformed and zero entries are dropped, so the list may be empty).
+pub fn thread_list() -> Vec<usize> {
+    std::env::var("DC_BENCH_THREADS")
+        .map(|v| {
+            v.split(',')
+                .filter_map(|s| s.trim().parse().ok())
+                .filter(|&t| t >= 1)
+                .collect()
+        })
+        .unwrap_or_default()
+}
+
+/// A tier's client thread count: the largest `DC_BENCH_THREADS` entry, or
+/// `default` when none is given.
+pub fn threads_or(default: usize) -> usize {
+    thread_list().into_iter().max().unwrap_or(default)
 }
 
 /// The global scale multiplier from `DC_BENCH_SCALE`.

@@ -1,37 +1,28 @@
-//! The durability benchmark tier, emitted as `BENCH_durability.json`.
+//! The durability tier, emitted as `BENCH_durability.json`: what does the
+//! WAL + checkpoint layer (`DESIGN.md` §9) cost on the write path under each
+//! fsync policy?
 //!
-//! Two questions decide whether the WAL + checkpoint layer (`DESIGN.md` §9)
-//! is usable: what does logging *cost* on the write path, and what does a
-//! checkpoint *buy* at recovery time?
-//!
-//! * **WAL overhead** — the same effective-churn batch stream is driven
-//!   through a plain [`dc_batch::BatchEngine`] (no log) and through
-//!   [`dc_durable::DurableConnectivity`] under each fsync policy
-//!   ([`FsyncPolicy::Always`] / [`FsyncPolicy::EveryN`] /
-//!   [`FsyncPolicy::Off`]), with automatic checkpointing at the default
-//!   interval. Each cell reports throughput, the overhead versus the plain
-//!   engine, and the bytes the run left on disk (segments and checkpoints
-//!   separately).
-//! * **Recovery** — one history is logged per checkpoint interval in a
-//!   sweep (plus interval 0, the full-trace-replay baseline with no
-//!   checkpoint at all), the writer is dropped mid-life, and
-//!   [`DurableConnectivity::recover`] is timed. The headline cell is the
-//!   default interval: checkpoint-load + tail-replay must beat replaying
-//!   the entire log from scratch by a wide margin — the CI gate asserts
-//!   at least 5x (`summary` binary, `DC_BENCH_DURABILITY_ONLY=1`).
-//!
-//! Recovery runs read the real files (fault injection is the test suite's
-//! job, not the benchmark's); timings are best-of-`repeats` like the rest
-//! of the harness.
+//! The same effective-churn batch stream is driven through a plain
+//! [`dc_batch::BatchEngine`] (no log) and through
+//! [`dc_durable::DurableConnectivity`] under each fsync policy
+//! ([`FsyncPolicy::Always`] / [`FsyncPolicy::EveryN`] / [`FsyncPolicy::Off`]),
+//! with automatic checkpointing every `checkpoint_interval` batches. Each
+//! cell reports throughput, the overhead versus the plain engine, and the
+//! bytes the run left on disk (segments and checkpoints separately).
+//! Timings are best-of-`repeats`. The repository benchmark's
+//! durable-service workload (`perfbench/`) runs [`FsyncPolicy::Off`] only,
+//! so the other policies are measured here; recovery time is its
+//! `recover_s`.
 
-use crate::report::{json_number, json_string};
+use crate::config::quick;
+use crate::report::{document, Json};
 use dc_batch::BatchEngine;
 use dc_durable::{DurableConnectivity, DurableOptions, FsyncPolicy};
 use dynconn::{BatchConnectivity, BatchOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 
 /// Scenario parameters for the durability benchmark.
@@ -45,12 +36,8 @@ pub struct DurabilityBenchConfig {
     pub batch_ops: usize,
     /// The `n` of the [`FsyncPolicy::EveryN`] overhead cell.
     pub every_n: u32,
-    /// The checkpoint interval (in committed batches) of the headline
-    /// recovery cell and of the WAL-overhead runs.
-    pub default_checkpoint_interval: u64,
-    /// Checkpoint intervals swept on the recovery side (the full-replay
-    /// baseline at interval 0 is always measured and is not listed here).
-    pub intervals: Vec<u64>,
+    /// Automatic checkpoint interval, in committed batches.
+    pub checkpoint_interval: u64,
     /// Repetitions; the best (lowest) time per cell is kept.
     pub repeats: usize,
     /// PRNG seed for the operation history.
@@ -60,39 +47,19 @@ pub struct DurabilityBenchConfig {
 impl DurabilityBenchConfig {
     /// The tracked configuration (shrunk under `DC_BENCH_QUICK=1`).
     pub fn from_env() -> Self {
-        let quick = std::env::var("DC_BENCH_QUICK")
-            .map(|v| v != "0")
-            .unwrap_or(false);
-        if quick {
-            DurabilityBenchConfig {
-                n: 256,
-                total_ops: 4_000,
-                batch_ops: 128,
-                every_n: 8,
-                default_checkpoint_interval: 8,
-                intervals: vec![2, 8],
-                repeats: 1,
-                seed: 0xD15C,
-            }
+        let (n, total_ops, batch_ops, checkpoint_interval, repeats) = if quick() {
+            (256, 4_000, 128, 8, 1)
         } else {
-            DurabilityBenchConfig {
-                n: 2_048,
-                total_ops: 40_000,
-                batch_ops: 256,
-                every_n: 8,
-                default_checkpoint_interval: 16,
-                intervals: vec![4, 16, 64],
-                repeats: 3,
-                seed: 0xD15C,
-            }
-        }
-    }
-
-    fn durable_options(&self, fsync: FsyncPolicy, checkpoint_interval: u64) -> DurableOptions {
-        DurableOptions {
-            fsync,
+            (2_048, 40_000, 256, 16, 3)
+        };
+        DurabilityBenchConfig {
+            n,
+            total_ops,
+            batch_ops,
+            every_n: 8,
             checkpoint_interval,
-            ..DurableOptions::default()
+            repeats,
+            seed: 0xD15C,
         }
     }
 }
@@ -116,27 +83,10 @@ pub struct WalOverheadCell {
     pub last_seq: u64,
 }
 
-/// One checkpoint-interval cell of the recovery table.
-#[derive(Clone, Debug)]
-pub struct RecoveryCell {
-    /// Checkpoint interval of the history (committed batches).
-    pub checkpoint_interval: u64,
-    /// Best-of-`repeats` recovery time, milliseconds.
-    pub recover_ms: f64,
-    /// WAL batches replayed past the checkpoint.
-    pub batches_replayed: u64,
-    /// `covered_seq` of the checkpoint recovery loaded (0 = none).
-    pub checkpoint_seq: u64,
-    /// Full-trace-replay time divided by this cell's recovery time.
-    pub speedup_vs_full_replay: f64,
-}
-
 /// Everything the durability tier measured, serializable as
 /// `BENCH_durability.json`.
 #[derive(Clone, Debug)]
 pub struct DurabilityBaseline {
-    /// `git rev-parse --short HEAD` at measurement time.
-    pub git_rev: String,
     /// The configuration that produced the numbers.
     pub config: DurabilityBenchConfig,
     /// Plain-engine throughput on the same batch stream (updates/sec).
@@ -145,140 +95,67 @@ pub struct DurabilityBaseline {
     pub plain_millis: f64,
     /// One cell per fsync policy.
     pub wal_overhead: Vec<WalOverheadCell>,
-    /// Recovery time with no checkpoint at all (every batch replayed).
-    pub full_replay_ms: f64,
-    /// Batches the full replay processed (the whole history).
-    pub full_replay_batches: u64,
-    /// One cell per swept checkpoint interval.
-    pub recovery: Vec<RecoveryCell>,
 }
 
 impl DurabilityBaseline {
-    /// The headline recovery cell: the default checkpoint interval.
-    pub fn default_interval_cell(&self) -> Option<&RecoveryCell> {
-        self.recovery
-            .iter()
-            .find(|c| c.checkpoint_interval == self.config.default_checkpoint_interval)
-    }
-
-    /// Serializes as the `dc-bench/durability/v1` JSON document
+    /// Serializes as the `dc-bench/durability/v2` document
     /// (`docs/bench-schema.md`).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"dc-bench/durability/v1\",\n");
-        out.push_str(&format!("  \"git_rev\": {},\n", json_string(&self.git_rev)));
-        out.push_str("  \"config\": {\n");
-        out.push_str(&format!("    \"n\": {},\n", self.config.n));
-        out.push_str(&format!("    \"total_ops\": {},\n", self.config.total_ops));
-        out.push_str(&format!("    \"batch_ops\": {},\n", self.config.batch_ops));
-        out.push_str(&format!("    \"every_n\": {},\n", self.config.every_n));
-        out.push_str(&format!(
-            "    \"default_checkpoint_interval\": {},\n",
-            self.config.default_checkpoint_interval
-        ));
-        out.push_str(&format!("    \"repeats\": {},\n", self.config.repeats));
-        out.push_str(&format!("    \"seed\": {}\n", self.config.seed));
-        out.push_str("  },\n");
-        out.push_str("  \"plain\": {\n");
-        out.push_str(&format!(
-            "    \"ops_per_sec\": {},\n",
-            json_number(self.plain_ops_per_sec)
-        ));
-        out.push_str(&format!(
-            "    \"millis\": {}\n",
-            json_number(self.plain_millis)
-        ));
-        out.push_str("  },\n");
-        out.push_str("  \"wal_overhead\": [");
-        for (i, cell) in self.wal_overhead.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\n");
-            out.push_str(&format!(
-                "      \"policy\": {},\n",
-                json_string(&cell.policy)
-            ));
-            out.push_str(&format!(
-                "      \"ops_per_sec\": {},\n",
-                json_number(cell.ops_per_sec)
-            ));
-            out.push_str(&format!(
-                "      \"millis\": {},\n",
-                json_number(cell.millis)
-            ));
-            out.push_str(&format!(
-                "      \"overhead_percent\": {},\n",
-                json_number(cell.overhead_percent)
-            ));
-            out.push_str(&format!("      \"wal_bytes\": {},\n", cell.wal_bytes));
-            out.push_str(&format!(
-                "      \"checkpoint_bytes\": {},\n",
-                cell.checkpoint_bytes
-            ));
-            out.push_str(&format!("      \"last_seq\": {}\n", cell.last_seq));
-            out.push_str("    }");
-        }
-        out.push_str("\n  ],\n");
-        out.push_str("  \"full_replay\": {\n");
-        out.push_str(&format!(
-            "    \"recover_ms\": {},\n",
-            json_number(self.full_replay_ms)
-        ));
-        out.push_str(&format!(
-            "    \"batches_replayed\": {}\n",
-            self.full_replay_batches
-        ));
-        out.push_str("  },\n");
-        out.push_str("  \"recovery\": [");
-        for (i, cell) in self.recovery.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\n");
-            out.push_str(&format!(
-                "      \"checkpoint_interval\": {},\n",
-                cell.checkpoint_interval
-            ));
-            out.push_str(&format!(
-                "      \"recover_ms\": {},\n",
-                json_number(cell.recover_ms)
-            ));
-            out.push_str(&format!(
-                "      \"batches_replayed\": {},\n",
-                cell.batches_replayed
-            ));
-            out.push_str(&format!(
-                "      \"checkpoint_seq\": {},\n",
-                cell.checkpoint_seq
-            ));
-            out.push_str(&format!(
-                "      \"speedup_vs_full_replay\": {}\n",
-                json_number(cell.speedup_vs_full_replay)
-            ));
-            out.push_str("    }");
-        }
-        out.push_str("\n  ]\n");
-        out.push_str("}\n");
-        out
+        let c = &self.config;
+        let cells = self.wal_overhead.iter().map(|cell| {
+            Json::obj([
+                ("policy", Json::str(&cell.policy)),
+                ("ops_per_sec", Json::Num(cell.ops_per_sec)),
+                ("millis", Json::Num(cell.millis)),
+                ("overhead_percent", Json::Num(cell.overhead_percent)),
+                ("wal_bytes", Json::Int(cell.wal_bytes)),
+                ("checkpoint_bytes", Json::Int(cell.checkpoint_bytes)),
+                ("last_seq", Json::Int(cell.last_seq)),
+            ])
+        });
+        document(
+            "dc-bench/durability/v2",
+            vec![
+                (
+                    "config",
+                    Json::obj([
+                        ("n", Json::int(c.n)),
+                        ("total_ops", Json::int(c.total_ops)),
+                        ("batch_ops", Json::int(c.batch_ops)),
+                        ("every_n", Json::int(c.every_n)),
+                        ("checkpoint_interval", Json::Int(c.checkpoint_interval)),
+                        ("repeats", Json::int(c.repeats)),
+                        ("seed", Json::Int(c.seed)),
+                    ]),
+                ),
+                (
+                    "plain",
+                    Json::obj([
+                        ("ops_per_sec", Json::Num(self.plain_ops_per_sec)),
+                        ("millis", Json::Num(self.plain_millis)),
+                    ]),
+                ),
+                ("wal_overhead", Json::Arr(cells.collect())),
+            ],
+        )
     }
 
-    /// Human-readable result tables.
+    /// Human-readable result table.
     pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "== Durability tier: {} ops in batches of {} over {} vertices ==\n",
-            self.config.total_ops, self.config.batch_ops, self.config.n
-        ));
-        out.push_str(&format!(
-            "plain engine (no WAL): {:>12.0} updates/sec\n",
-            self.plain_ops_per_sec
-        ));
-        out.push_str(&format!(
-            "{:<12}{:>14}{:>12}{:>12}{:>12}\n",
-            "fsync", "updates/sec", "overhead", "wal KiB", "ckpt KiB"
-        ));
+        let mut out = format!(
+            "== Durability tier: {} ops in batches of {} over {} vertices ==\n\
+             plain engine (no WAL): {:>12.0} updates/sec\n\
+             {:<12}{:>14}{:>12}{:>12}{:>12}\n",
+            self.config.total_ops,
+            self.config.batch_ops,
+            self.config.n,
+            self.plain_ops_per_sec,
+            "fsync",
+            "updates/sec",
+            "overhead",
+            "wal KiB",
+            "ckpt KiB"
+        );
         for cell in &self.wal_overhead {
             out.push_str(&format!(
                 "{:<12}{:>14.0}{:>11.1}%{:>12.1}{:>12.1}\n",
@@ -287,23 +164,6 @@ impl DurabilityBaseline {
                 cell.overhead_percent,
                 cell.wal_bytes as f64 / 1024.0,
                 cell.checkpoint_bytes as f64 / 1024.0
-            ));
-        }
-        out.push_str(&format!(
-            "\nfull-trace replay (no checkpoint): {:.2} ms ({} batches)\n",
-            self.full_replay_ms, self.full_replay_batches
-        ));
-        out.push_str(&format!(
-            "{:<12}{:>12}{:>14}{:>14}\n",
-            "interval", "recover ms", "tail batches", "speedup"
-        ));
-        for cell in &self.recovery {
-            out.push_str(&format!(
-                "{:<12}{:>12.2}{:>14}{:>13.1}x\n",
-                cell.checkpoint_interval,
-                cell.recover_ms,
-                cell.batches_replayed,
-                cell.speedup_vs_full_replay
             ));
         }
         out
@@ -352,7 +212,7 @@ fn time_batches(store: &dyn BatchConnectivity, ops: &[BatchOp], batch_ops: usize
 }
 
 /// A scratch directory under the system temp dir, cleaned before use.
-fn bench_dir(label: &str) -> PathBuf {
+fn bench_dir(label: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
         "dc-bench-durability-{}-{label}",
         std::process::id()
@@ -378,7 +238,7 @@ fn disk_usage(dir: &Path) -> (u64, u64) {
     (wal, ckpt)
 }
 
-/// Runs the full durability tier.
+/// Runs the durability tier.
 pub fn run_durability_bench(config: &DurabilityBenchConfig) -> DurabilityBaseline {
     let ops = effective_ops(config.n, config.total_ops, config.seed);
 
@@ -400,23 +260,25 @@ pub fn run_durability_bench(config: &DurabilityBenchConfig) -> DurabilityBaselin
         ("off".to_string(), FsyncPolicy::Off),
     ];
     let mut wal_overhead = Vec::new();
-    for (label, policy) in policies {
+    for (label, fsync) in policies {
         let mut best_millis = f64::INFINITY;
         let mut wal_bytes = 0;
         let mut checkpoint_bytes = 0;
         let mut last_seq = 0;
         for repeat in 0..config.repeats.max(1) {
             let dir = bench_dir(&format!("wal-{label}-{repeat}"));
-            let opts = config.durable_options(policy, config.default_checkpoint_interval);
+            let opts = DurableOptions {
+                fsync,
+                checkpoint_interval: config.checkpoint_interval,
+                ..DurableOptions::default()
+            };
             let store =
                 DurableConnectivity::create(&dir, config.n, opts).expect("bench store must create");
             let millis = time_batches(&store, &ops, config.batch_ops);
             assert!(!store.is_poisoned(), "bench run must not poison the log");
             if millis < best_millis {
                 best_millis = millis;
-                let (w, c) = disk_usage(&dir);
-                wal_bytes = w;
-                checkpoint_bytes = c;
+                (wal_bytes, checkpoint_bytes) = disk_usage(&dir);
                 last_seq = store.last_seq();
             }
             drop(store);
@@ -433,58 +295,11 @@ pub fn run_durability_bench(config: &DurabilityBenchConfig) -> DurabilityBaselin
         });
     }
 
-    // Recovery: log one history per interval (fsync off — write-side speed
-    // is not under test here), drop the writer, time `recover`. Interval 0
-    // is the full-trace-replay baseline every other cell is compared to.
-    let measure_recovery = |interval: u64, label: &str| -> (f64, u64, u64) {
-        let dir = bench_dir(label);
-        let opts = config.durable_options(FsyncPolicy::Off, interval);
-        {
-            let store =
-                DurableConnectivity::create(&dir, config.n, opts).expect("bench store must create");
-            for chunk in ops.chunks(config.batch_ops) {
-                store.apply_batch(chunk);
-            }
-            assert!(!store.is_poisoned(), "bench run must not poison the log");
-        }
-        let mut best_ms = f64::INFINITY;
-        let mut batches_replayed = 0;
-        let mut checkpoint_seq = 0;
-        for _ in 0..config.repeats.max(1) {
-            let start = Instant::now();
-            let (store, report) =
-                DurableConnectivity::recover(&dir, opts).expect("bench history must recover");
-            best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
-            batches_replayed = report.batches_replayed;
-            checkpoint_seq = report.checkpoint_seq;
-            drop(store);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-        (best_ms, batches_replayed, checkpoint_seq)
-    };
-    let (full_replay_ms, full_replay_batches, _) = measure_recovery(0, "replay-full");
-    let mut recovery = Vec::new();
-    for &interval in &config.intervals {
-        let (recover_ms, batches_replayed, checkpoint_seq) =
-            measure_recovery(interval, &format!("replay-ck{interval}"));
-        recovery.push(RecoveryCell {
-            checkpoint_interval: interval,
-            recover_ms,
-            batches_replayed,
-            checkpoint_seq,
-            speedup_vs_full_replay: full_replay_ms / recover_ms.max(1e-9),
-        });
-    }
-
     DurabilityBaseline {
-        git_rev: crate::ettbench::git_rev(),
         config: config.clone(),
         plain_ops_per_sec,
         plain_millis,
         wal_overhead,
-        full_replay_ms,
-        full_replay_batches,
-        recovery,
     }
 }
 
@@ -499,8 +314,7 @@ mod tests {
             total_ops: 400,
             batch_ops: 32,
             every_n: 4,
-            default_checkpoint_interval: 2,
-            intervals: vec![2],
+            checkpoint_interval: 2,
             repeats: 1,
             seed: 7,
         };
@@ -513,20 +327,16 @@ mod tests {
                 "policy {} left no WAL bytes",
                 cell.policy
             );
+            assert!(
+                cell.checkpoint_bytes > 0,
+                "policy {} never checkpointed at interval 2",
+                cell.policy
+            );
             assert_eq!(cell.last_seq, (400 / 32) as u64 + 1); // 400/32 = 12.5 -> 13 batches
         }
-        assert_eq!(baseline.full_replay_batches, 13);
-        let cell = baseline
-            .default_interval_cell()
-            .expect("default interval measured");
-        assert!(
-            cell.checkpoint_seq > 0,
-            "default-interval run must checkpoint"
-        );
-        assert!(cell.batches_replayed < baseline.full_replay_batches);
         let json = baseline.to_json();
-        assert!(json.contains("\"schema\": \"dc-bench/durability/v1\""));
-        assert!(json.contains("\"speedup_vs_full_replay\""));
+        assert!(json.contains("\"schema\": \"dc-bench/durability/v2\""));
+        assert!(json.contains("\"overhead_percent\""));
         assert!(!baseline.render_text().is_empty());
     }
 

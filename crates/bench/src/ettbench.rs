@@ -23,7 +23,8 @@
 //! machine-trackable, alongside the frozen PR 1 numbers measured on the
 //! pre-reclamation arena for the before/after comparison.
 
-use crate::report::{json_number, json_string};
+use crate::config::quick;
+use crate::report::{document, Json};
 use dc_ett::EulerForest;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -49,25 +50,17 @@ pub struct EttBenchConfig {
 impl EttBenchConfig {
     /// The tracked configuration (shrunk under `DC_BENCH_QUICK=1`).
     pub fn from_env() -> Self {
-        let quick = std::env::var("DC_BENCH_QUICK")
-            .map(|v| v != "0")
-            .unwrap_or(false);
-        if quick {
-            EttBenchConfig {
-                n: 10_000,
-                churn_ops: 20_000,
-                readers: 2,
-                seed: 0xE77,
-                repeats: 2,
-            }
+        let (n, churn_ops, readers, repeats) = if quick() {
+            (10_000, 20_000, 2, 2)
         } else {
-            EttBenchConfig {
-                n: 100_000,
-                churn_ops: 400_000,
-                readers: 3,
-                seed: 0xE77,
-                repeats: 5,
-            }
+            (100_000, 400_000, 3, 5)
+        };
+        EttBenchConfig {
+            n,
+            churn_ops,
+            readers,
+            seed: 0xE77,
+            repeats,
         }
     }
 }
@@ -99,8 +92,6 @@ impl EttCell {
 /// The full ETT node-layer measurement, serialized as `BENCH_ett.json`.
 #[derive(Clone, Debug, Default)]
 pub struct EttBaseline {
-    /// Short git revision the numbers were measured at.
-    pub git_rev: String,
     /// Vertices per scenario.
     pub n: usize,
     /// Churn operation count.
@@ -151,7 +142,6 @@ fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
 /// each, keeping the best throughput and the worst occupancy per scenario.
 pub fn run_ett_bench(config: &EttBenchConfig) -> EttBaseline {
     let mut baseline = EttBaseline {
-        git_rev: git_rev(),
         n: config.n,
         churn_ops: config.churn_ops,
         readers: config.readers,
@@ -281,87 +271,59 @@ fn run_churn(config: &EttBenchConfig, readers: usize, rng: &mut StdRng) -> EttCe
     }
 }
 
-pub(crate) fn git_rev() -> String {
-    let rev = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string());
-    let dirty = std::process::Command::new("git")
-        .args(["status", "--porcelain"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .map(|out| !out.stdout.is_empty())
-        .unwrap_or(false);
-    if dirty {
-        format!("{rev}-dirty")
-    } else {
-        rev
-    }
-}
-
 impl EttBaseline {
     /// Renders the measurement (current numbers plus the frozen PR 1
-    /// baseline) as pretty JSON.
+    /// baseline) as the `dc-bench/ett-churn/v1` document.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"dc-bench/ett-churn/v1\",\n");
-        out.push_str(&format!("  \"git_rev\": {},\n", json_string(&self.git_rev)));
-        out.push_str("  \"scenario\": {\n");
-        out.push_str(&format!("    \"vertices\": {},\n", self.n));
-        out.push_str(&format!(
-            "    \"live_edges\": {},\n",
-            self.n.saturating_sub(1)
-        ));
-        out.push_str(&format!("    \"churn_ops\": {},\n", self.churn_ops));
-        out.push_str(&format!("    \"reader_threads\": {},\n", self.readers));
-        out.push_str(&format!("    \"repeats_best_of\": {}\n", self.repeats));
-        out.push_str("  },\n");
-        out.push_str("  \"current\": {");
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {}: {{ \"ops_per_sec\": {}, \"final_occupancy\": {}, \"peak_occupancy\": {}, \"live_nodes\": {}, \"occupancy_ratio\": {} }}",
-                json_string(&cell.scenario),
-                json_number(cell.ops_per_sec),
-                cell.final_occupancy,
-                cell.peak_occupancy,
-                cell.live_nodes,
-                json_number(cell.occupancy_ratio()),
-            ));
-        }
-        out.push_str("\n  },\n");
-        out.push_str("  \"pr1_baseline\": {");
-        for (i, (scenario, ops, fin, peak, live)) in PR1_BASELINE.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let ratio = *peak as f64 / (*live).max(1) as f64;
-            out.push_str(&format!(
-                "\n    {}: {{ \"ops_per_sec\": {}, \"final_occupancy\": {}, \"peak_occupancy\": {}, \"live_nodes\": {}, \"occupancy_ratio\": {} }}",
-                json_string(scenario),
-                json_number(*ops),
-                fin,
-                peak,
-                live,
-                json_number(ratio),
-            ));
-        }
-        out.push_str("\n  }\n}\n");
-        out
+        let cell = |ops: f64, fin: usize, peak: usize, live: usize| {
+            Json::obj([
+                ("ops_per_sec", Json::Num(ops)),
+                ("final_occupancy", Json::int(fin)),
+                ("peak_occupancy", Json::int(peak)),
+                ("live_nodes", Json::int(live)),
+                (
+                    "occupancy_ratio",
+                    Json::Num(peak as f64 / live.max(1) as f64),
+                ),
+            ])
+        };
+        let current = self.cells.iter().map(|c| {
+            let json = cell(
+                c.ops_per_sec,
+                c.final_occupancy,
+                c.peak_occupancy,
+                c.live_nodes,
+            );
+            (c.scenario.as_str(), json)
+        });
+        let pr1 = PR1_BASELINE
+            .iter()
+            .map(|&(scenario, ops, fin, peak, live)| (scenario, cell(ops, fin, peak, live)));
+        document(
+            "dc-bench/ett-churn/v1",
+            vec![
+                (
+                    "scenario",
+                    Json::obj([
+                        ("vertices", Json::int(self.n)),
+                        ("live_edges", Json::int(self.n.saturating_sub(1))),
+                        ("churn_ops", Json::int(self.churn_ops)),
+                        ("reader_threads", Json::int(self.readers)),
+                        ("repeats_best_of", Json::int(self.repeats)),
+                    ]),
+                ),
+                ("current", Json::obj(current)),
+                ("pr1_baseline", Json::obj(pr1)),
+            ],
+        )
     }
 
     /// Renders an aligned text table.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "== ETT node layer (n = {}, churn_ops = {}, rev {}) ==\n",
-            self.n, self.churn_ops, self.git_rev
+            "== ETT node layer (n = {}, churn_ops = {}) ==\n",
+            self.n, self.churn_ops
         ));
         out.push_str(&format!(
             "{:<16}{:>14}{:>14}{:>14}{:>12}\n",

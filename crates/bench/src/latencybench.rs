@@ -37,8 +37,8 @@
 //! Listing-1 climb) on a query prefix for every (width, hints)
 //! combination and panics on any disagreement.
 
-use crate::config::bench_scale;
-use crate::report::{json_number, json_string};
+use crate::config::{bench_scale, quick};
+use crate::report::{document, Json};
 use crate::stats::LatencyHistogram;
 use dc_graph::EdgeBatchReader;
 use dynconn::Hdt;
@@ -87,10 +87,7 @@ impl LatencyBenchConfig {
     /// `DC_BENCH_SCALE=5` reaches 50M and `DC_BENCH_SCALE=0.01` is a fast
     /// sanity run), shrunk outright under `DC_BENCH_QUICK=1`.
     pub fn from_env() -> Self {
-        let quick = std::env::var("DC_BENCH_QUICK")
-            .map(|v| v != "0")
-            .unwrap_or(false);
-        if quick {
+        if quick() {
             return LatencyBenchConfig {
                 vertices: 20_000,
                 extra_edges: 4_000,
@@ -146,8 +143,6 @@ pub struct LatencyCell {
 /// The full latency measurement, serialized as `BENCH_latency.json`.
 #[derive(Clone, Debug, Default)]
 pub struct LatencyBaseline {
-    /// Short git revision.
-    pub git_rev: String,
     /// The configuration the numbers were measured at.
     pub config: Option<LatencyBenchConfig>,
     /// Vertices actually interned by the streaming load.
@@ -382,7 +377,6 @@ fn check_agreement(hdt: &Hdt, config: &LatencyBenchConfig, queries: &[(u32, u32)
 /// check, then all 16 cells.
 pub fn run_latency_bench(config: &LatencyBenchConfig) -> LatencyBaseline {
     let mut baseline = LatencyBaseline {
-        git_rev: crate::ettbench::git_rev(),
         config: Some(config.clone()),
         ..Default::default()
     };
@@ -444,95 +438,77 @@ pub fn run_latency_bench(config: &LatencyBenchConfig) -> LatencyBaseline {
 }
 
 impl LatencyBaseline {
-    /// Renders the measurement as pretty JSON.
+    /// Renders the measurement as the `dc-bench/latency/v1` document.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"dc-bench/latency/v1\",\n");
-        out.push_str(&format!("  \"git_rev\": {},\n", json_string(&self.git_rev)));
-        if let Some(config) = &self.config {
-            out.push_str("  \"config\": {\n");
-            out.push_str(&format!("    \"vertices\": {},\n", config.vertices));
-            out.push_str(&format!("    \"extra_edges\": {},\n", config.extra_edges));
-            out.push_str(&format!(
-                "    \"queries_per_cell\": {},\n",
-                config.queries_per_cell
-            ));
-            out.push_str(&format!("    \"batch\": {},\n", config.batch));
-            let widths: Vec<String> = config.widths.iter().map(|w| w.to_string()).collect();
-            out.push_str(&format!("    \"widths\": [{}],\n", widths.join(", ")));
-            out.push_str(&format!("    \"seed\": {},\n", config.seed));
-            out.push_str(&format!("    \"scale\": {}\n", json_number(config.scale)));
-            out.push_str("  },\n");
+        let mut fields = Vec::new();
+        if let Some(c) = &self.config {
+            let widths = c.widths.iter().map(|&w| Json::int(w)).collect();
+            let config = Json::obj([
+                ("vertices", Json::int(c.vertices)),
+                ("extra_edges", Json::int(c.extra_edges)),
+                ("queries_per_cell", Json::int(c.queries_per_cell)),
+                ("batch", Json::int(c.batch)),
+                ("widths", Json::Arr(widths)),
+                ("seed", Json::Int(c.seed)),
+                ("scale", Json::Num(c.scale)),
+            ]);
+            fields.push(("config", config));
         }
-        out.push_str("  \"load\": {\n");
-        out.push_str(&format!("    \"vertices\": {},\n", self.vertices));
-        out.push_str(&format!("    \"edges\": {},\n", self.edges_loaded));
-        out.push_str(&format!(
-            "    \"millis\": {}\n",
-            json_number(self.load_millis)
-        ));
-        out.push_str("  },\n");
-        out.push_str(&format!(
-            "  \"agreement_queries\": {},\n",
-            self.agreement_queries
-        ));
-        out.push_str("  \"gate\": {\n");
-        out.push_str(&format!(
-            "    \"speedup_floor\": {},\n",
-            json_number(GATE_SPEEDUP_FLOOR)
-        ));
-        out.push_str(&format!("    \"min_vertices\": {},\n", GATE_MIN_VERTICES));
-        out.push_str(&format!("    \"applies\": {},\n", self.gate_applies()));
-        out.push_str(&format!(
-            "    \"read_storm_cold_speedup\": {},\n",
-            json_number(self.read_storm_cold_speedup().unwrap_or(0.0))
-        ));
-        out.push_str(&format!("    \"passes\": {}\n", self.gate_passes()));
-        out.push_str("  },\n");
-        out.push_str("  \"scenarios\": {");
+        let load = Json::obj([
+            ("vertices", Json::int(self.vertices)),
+            ("edges", Json::int(self.edges_loaded)),
+            ("millis", Json::Num(self.load_millis)),
+        ]);
+        let gate = Json::obj([
+            ("speedup_floor", Json::Num(GATE_SPEEDUP_FLOOR)),
+            ("min_vertices", Json::int(GATE_MIN_VERTICES)),
+            ("applies", Json::Bool(self.gate_applies())),
+            (
+                "read_storm_cold_speedup",
+                Json::Num(self.read_storm_cold_speedup().unwrap_or(0.0)),
+            ),
+            ("passes", Json::Bool(self.gate_passes())),
+        ]);
         let mut names: Vec<&str> = self.cells.iter().map(|c| c.scenario.as_str()).collect();
         names.dedup();
-        for (si, name) in names.iter().enumerate() {
-            if si > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    {}: {{", json_string(name)));
-            let cells: Vec<&LatencyCell> =
-                self.cells.iter().filter(|c| c.scenario == *name).collect();
-            for (ci, cell) in cells.iter().enumerate() {
-                if ci > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "\n      \"interleaved-w{}{}\": {{ \"width\": {}, \"hints\": {}, \
-                     \"queries\": {}, \"mean_ns\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \
-                     \"p99_ns\": {}, \"p999_ns\": {}, \"max_ns\": {}, \"connected_true\": {} }}",
-                    cell.width,
-                    if cell.hints { "+hints" } else { "" },
-                    cell.width,
-                    cell.hints,
-                    cell.queries,
-                    json_number(cell.mean_ns),
-                    cell.p50_ns,
-                    cell.p90_ns,
-                    cell.p99_ns,
-                    cell.p999_ns,
-                    cell.max_ns,
-                    cell.connected_true
-                ));
-            }
-            out.push_str("\n    }");
-        }
-        out.push_str("\n  }\n}\n");
-        out
+        let scenarios = names.into_iter().map(|name| {
+            let cells = self.cells.iter().filter(|c| c.scenario == name).map(|c| {
+                let key = format!(
+                    "interleaved-w{}{}",
+                    c.width,
+                    if c.hints { "+hints" } else { "" }
+                );
+                let cell = Json::obj([
+                    ("width", Json::int(c.width)),
+                    ("hints", Json::Bool(c.hints)),
+                    ("queries", Json::int(c.queries)),
+                    ("mean_ns", Json::Num(c.mean_ns)),
+                    ("p50_ns", Json::Int(c.p50_ns)),
+                    ("p90_ns", Json::Int(c.p90_ns)),
+                    ("p99_ns", Json::Int(c.p99_ns)),
+                    ("p999_ns", Json::Int(c.p999_ns)),
+                    ("max_ns", Json::Int(c.max_ns)),
+                    ("connected_true", Json::Int(c.connected_true)),
+                ]);
+                (key, cell)
+            });
+            (name, Json::obj(cells))
+        });
+        fields.extend([
+            ("load", load),
+            ("agreement_queries", Json::int(self.agreement_queries)),
+            ("gate", gate),
+            ("scenarios", Json::obj(scenarios)),
+        ]);
+        document("dc-bench/latency/v1", fields)
     }
 
     /// Renders aligned text tables, one per scenario.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "== Latency tier (n={}, {} edges, load {:.0} ms, rev {}) ==\n",
-            self.vertices, self.edges_loaded, self.load_millis, self.git_rev
+            "== Latency tier (n={}, {} edges, load {:.0} ms) ==\n",
+            self.vertices, self.edges_loaded, self.load_millis
         ));
         let mut names: Vec<&str> = self.cells.iter().map(|c| c.scenario.as_str()).collect();
         names.dedup();

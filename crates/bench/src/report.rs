@@ -1,4 +1,5 @@
-//! Plain-text and JSON reporting for the figure/table binaries.
+//! Plain-text and JSON reporting for the figure/table binaries and the
+//! `summary` tiers.
 //!
 //! The paper presents its results as line plots (throughput or active-time
 //! rate vs. thread count, one line per algorithm variant) and bar charts
@@ -7,6 +8,10 @@
 //! column per variant — which is the form the series can be compared in
 //! without a plotting stack, and optionally dump machine-readable JSON for
 //! external plotting.
+//!
+//! Every `BENCH_*.json` artifact is a [`Json`] value wrapped by
+//! [`document`] in the shared envelope (`schema`, `git_rev`); the offline
+//! build has no serde.
 
 use std::collections::BTreeMap;
 
@@ -64,34 +69,28 @@ impl FigureData {
         out
     }
 
-    /// Serializes the figure to pretty JSON (hand-rolled; the offline build
-    /// has no serde, and the shape is three levels of maps over numbers).
+    /// Serializes the figure to pretty JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"title\": {},\n", json_string(&self.title)));
-        let xs: Vec<String> = self.x_axis.iter().map(|x| x.to_string()).collect();
-        out.push_str(&format!("  \"x_axis\": [{}],\n", xs.join(", ")));
-        out.push_str("  \"graphs\": {");
-        for (gi, (graph, series)) in self.graphs.iter().enumerate() {
-            if gi > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    {}: {{", json_string(graph)));
-            for (si, (variant, values)) in series.iter().enumerate() {
-                if si > 0 {
-                    out.push(',');
-                }
-                let vals: Vec<String> = values.iter().map(|v| json_number(*v)).collect();
-                out.push_str(&format!(
-                    "\n      {}: [{}]",
-                    json_string(variant),
-                    vals.join(", ")
-                ));
-            }
-            out.push_str("\n    }");
-        }
-        out.push_str("\n  }\n}");
-        out
+        let series = |series: &BTreeMap<String, Vec<f64>>| {
+            Json::obj(series.iter().map(|(variant, values)| {
+                (
+                    variant.as_str(),
+                    Json::Arr(values.iter().map(|&v| Json::Num(v)).collect()),
+                )
+            }))
+        };
+        Json::obj([
+            ("title", Json::str(&self.title)),
+            (
+                "x_axis",
+                Json::Arr(self.x_axis.iter().map(|&x| Json::int(x)).collect()),
+            ),
+            (
+                "graphs",
+                Json::obj(self.graphs.iter().map(|(g, s)| (g.as_str(), series(s)))),
+            ),
+        ])
+        .render()
     }
 
     /// Writes the JSON dump next to the current directory under
@@ -137,6 +136,122 @@ pub fn json_number(v: f64) -> String {
     }
 }
 
+/// A JSON value, built by the tiers and rendered by [`Json::render`].
+#[derive(Clone, Debug)]
+pub enum Json {
+    /// A float, rendered by [`json_number`].
+    Num(f64),
+    /// An integer.
+    Int(u64),
+    /// A boolean.
+    Bool(bool),
+    /// A string.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object, fields in insertion order.
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// An object from `(key, value)` pairs.
+    pub fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// An integer from any unsigned count.
+    pub fn int(v: impl TryInto<u64>) -> Json {
+        Json::Int(v.try_into().unwrap_or(u64::MAX))
+    }
+
+    /// A string.
+    pub fn str(s: impl Into<String>) -> Json {
+        Json::Str(s.into())
+    }
+
+    fn is_scalar(&self) -> bool {
+        !matches!(self, Json::Arr(_) | Json::Obj(_))
+    }
+
+    /// Pretty JSON: containers of scalars stay on one line (one cell per
+    /// line), everything else nests with two-space indentation.
+    pub fn render(&self) -> String {
+        self.render_at(0)
+    }
+
+    fn render_at(&self, depth: usize) -> String {
+        let (open, close, parts, flat) = match self {
+            Json::Num(v) => return json_number(*v),
+            Json::Int(v) => return v.to_string(),
+            Json::Bool(v) => return v.to_string(),
+            Json::Str(s) => return json_string(s),
+            Json::Arr(items) => (
+                '[',
+                ']',
+                items.iter().map(|v| v.render_at(depth + 1)).collect(),
+                items.iter().all(Json::is_scalar),
+            ),
+            Json::Obj(fields) => (
+                '{',
+                '}',
+                fields
+                    .iter()
+                    .map(|(k, v)| format!("{}: {}", json_string(k), v.render_at(depth + 1)))
+                    .collect::<Vec<_>>(),
+                fields.iter().all(|(_, v)| v.is_scalar()),
+            ),
+        };
+        if parts.is_empty() {
+            format!("{open}{close}")
+        } else if flat {
+            format!("{open} {} {close}", parts.join(", "))
+        } else {
+            let indent = "  ".repeat(depth + 1);
+            let items = parts.join(&format!(",\n{indent}"));
+            format!("{open}\n{indent}{items}\n{}{close}", "  ".repeat(depth))
+        }
+    }
+}
+
+/// A `BENCH_*.json` artifact: the envelope (`schema`, `git_rev`) followed
+/// by `fields`, rendered with a trailing newline.
+pub fn document(schema: &str, fields: Vec<(&str, Json)>) -> String {
+    let envelope = [
+        ("schema", Json::str(schema)),
+        ("git_rev", Json::Str(git_rev())),
+    ];
+    let mut doc = Json::obj(envelope.into_iter().chain(fields)).render();
+    doc.push('\n');
+    doc
+}
+
+/// `git rev-parse --short HEAD`, suffixed `-dirty` when the work tree has
+/// uncommitted changes (`unknown` outside a git checkout). The root
+/// `BENCH_*.json` artifacts do not count as changes, so one run that
+/// regenerates several of them from a clean checkout records the clean
+/// revision in each.
+pub fn git_rev() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    let rev = git(&["rev-parse", "--short", "HEAD"]).unwrap_or_else(|| "unknown".to_string());
+    match git(&[
+        "status",
+        "--porcelain",
+        "--",
+        ":/",
+        ":(top,exclude)BENCH_*.json",
+    ]) {
+        Some(status) if !status.is_empty() => format!("{rev}-dirty"),
+        _ => rev,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,5 +271,21 @@ mod tests {
         let json = fig.to_json();
         assert!(json.contains("\"x_axis\""));
         assert!(json.contains("our algorithm"));
+    }
+
+    #[test]
+    fn json_renders_flat_cells_inline_and_nests_the_rest() {
+        let doc = Json::obj([
+            (
+                "cell",
+                Json::obj([("ops", Json::Num(2.5)), ("n", Json::int(3u32))]),
+            ),
+            ("list", Json::Arr(vec![Json::Bool(true), Json::str("a\"b")])),
+            ("empty", Json::Arr(Vec::new())),
+        ]);
+        assert_eq!(
+            doc.render(),
+            "{\n  \"cell\": { \"ops\": 2.5, \"n\": 3 },\n  \"list\": [ true, \"a\\\"b\" ],\n  \"empty\": []\n}"
+        );
     }
 }

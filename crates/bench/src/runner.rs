@@ -108,211 +108,6 @@ pub fn run_figure(
     figure
 }
 
-/// One measured cell of the adjacency-layer baseline.
-#[derive(Clone, Debug)]
-pub struct AdjacencyCell {
-    /// Scenario name.
-    pub scenario: String,
-    /// Thread count.
-    pub threads: usize,
-    /// Variant label (short: "coarse" / "ours").
-    pub variant: String,
-    /// Operations per second.
-    pub ops_per_sec: f64,
-    /// Active time rate in percent (time *not* spent waiting for locks),
-    /// from [`dc_sync::waitstats`].
-    pub active_time_percent: f64,
-    /// Total lock-wait time across all threads, in milliseconds.
-    pub wait_ms: f64,
-    /// Sampled per-operation latency percentiles in microseconds
-    /// (p50/p99/p999), from the 1-in-16 sampling in the throughput harness.
-    pub p50_us: f64,
-    /// 99th-percentile per-operation latency in microseconds.
-    pub p99_us: f64,
-    /// 99.9th-percentile per-operation latency in microseconds.
-    pub p999_us: f64,
-}
-
-/// The machine-readable adjacency perf baseline emitted as
-/// `BENCH_adjacency.json`, so future PRs can track the trajectory.
-#[derive(Clone, Debug, Default)]
-pub struct AdjacencyBaseline {
-    /// Graph description.
-    pub graph: String,
-    /// Vertices in the measured graph.
-    pub vertices: usize,
-    /// Edges in the measured graph.
-    pub edges: usize,
-    /// Operations per thread per measurement.
-    pub ops_per_thread: usize,
-    /// All measured cells.
-    pub cells: Vec<AdjacencyCell>,
-    /// Adjacency-store occupancy after the final full-algorithm run:
-    /// (materialized slots, materialized pages, spilled slots) for the
-    /// non-tree store, then the tree store, then materialized forest levels.
-    pub store_stats: Vec<(String, usize)>,
-}
-
-impl AdjacencyBaseline {
-    /// Renders the baseline as pretty JSON.
-    pub fn to_json(&self) -> String {
-        use crate::report::{json_number, json_string};
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"dc-bench/adjacency-baseline/v3\",\n");
-        out.push_str(&format!("  \"graph\": {},\n", json_string(&self.graph)));
-        out.push_str(&format!("  \"vertices\": {},\n", self.vertices));
-        out.push_str(&format!("  \"edges\": {},\n", self.edges));
-        out.push_str(&format!("  \"ops_per_thread\": {},\n", self.ops_per_thread));
-        out.push_str("  \"results\": {");
-        let mut scenarios: Vec<&str> = self.cells.iter().map(|c| c.scenario.as_str()).collect();
-        scenarios.dedup();
-        for (si, scenario) in scenarios.iter().enumerate() {
-            if si > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    {}: {{", json_string(scenario)));
-            let cells: Vec<&AdjacencyCell> = self
-                .cells
-                .iter()
-                .filter(|c| c.scenario == *scenario)
-                .collect();
-            let mut threads: Vec<usize> = cells.iter().map(|c| c.threads).collect();
-            threads.dedup();
-            for (ti, t) in threads.iter().enumerate() {
-                if ti > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\n      \"{t}\": {{"));
-                for (vi, cell) in cells.iter().filter(|c| c.threads == *t).enumerate() {
-                    if vi > 0 {
-                        out.push(',');
-                    }
-                    // Lock-wait time rides alongside every throughput number
-                    // (the waitstats counters were collected by the harness
-                    // all along but never serialized before).
-                    out.push_str(&format!(
-                        "\n        {}: {{ \"ops_per_sec\": {}, \"active_time_percent\": {}, \"wait_ms\": {}, \"p50_us\": {}, \"p99_us\": {}, \"p999_us\": {} }}",
-                        json_string(&cell.variant),
-                        json_number(cell.ops_per_sec),
-                        json_number(cell.active_time_percent),
-                        json_number(cell.wait_ms),
-                        json_number(cell.p50_us),
-                        json_number(cell.p99_us),
-                        json_number(cell.p999_us)
-                    ));
-                }
-                out.push_str("\n      }");
-            }
-            out.push_str("\n    }");
-        }
-        out.push_str("\n  },\n");
-        out.push_str("  \"adjacency\": {");
-        for (i, (key, value)) in self.store_stats.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    {}: {}", json_string(key), value));
-        }
-        out.push_str("\n  }\n}\n");
-        out
-    }
-}
-
-/// Measures the adjacency-layer baseline: the random-subset (50% reads),
-/// incremental and decremental scenarios at each of `thread_counts`, for the
-/// coarse-grained baseline and the full algorithm (whose `Hdt` exposes the
-/// adjacency-store occupancy counters recorded alongside).
-pub fn run_adjacency_baseline(
-    graph: &dc_graph::Graph,
-    graph_name: &str,
-    thread_counts: &[usize],
-    ops_per_thread: usize,
-    seed: u64,
-) -> AdjacencyBaseline {
-    use dynconn::locking::FineLocking;
-    use dynconn::nonblocking::NonBlockingVariant;
-
-    let mut baseline = AdjacencyBaseline {
-        graph: graph_name.to_string(),
-        vertices: graph.num_vertices(),
-        edges: graph.num_edges(),
-        ops_per_thread,
-        ..Default::default()
-    };
-    let scenarios = [
-        Scenario::RandomSubset { read_percent: 50 },
-        Scenario::Incremental,
-        Scenario::Decremental,
-    ];
-    let mut last_ours: Option<NonBlockingVariant<FineLocking>> = None;
-    for scenario in scenarios {
-        for &threads in thread_counts {
-            let workload = Workload::generate(graph, scenario, threads, ops_per_thread, seed);
-            let coarse = Variant::CoarseGrained.build(graph.num_vertices());
-            let result = run_throughput(coarse.as_ref(), &workload);
-            baseline.cells.push(AdjacencyCell {
-                scenario: scenario.name(),
-                threads,
-                variant: "coarse".to_string(),
-                ops_per_sec: result.ops_per_ms * 1e3,
-                active_time_percent: result.active_time_percent,
-                wait_ms: result.wait_nanos as f64 / 1e6,
-                p50_us: result.latency.p50() as f64 / 1e3,
-                p99_us: result.latency.p99() as f64 / 1e3,
-                p999_us: result.latency.p999() as f64 / 1e3,
-            });
-            let ours = NonBlockingVariant::new(graph.num_vertices(), FineLocking::new());
-            let result = run_throughput(&ours, &workload);
-            baseline.cells.push(AdjacencyCell {
-                scenario: scenario.name(),
-                threads,
-                variant: "ours".to_string(),
-                ops_per_sec: result.ops_per_ms * 1e3,
-                active_time_percent: result.active_time_percent,
-                wait_ms: result.wait_nanos as f64 / 1e6,
-                p50_us: result.latency.p50() as f64 / 1e3,
-                p99_us: result.latency.p99() as f64 / 1e3,
-                p999_us: result.latency.p999() as f64 / 1e3,
-            });
-            last_ours = Some(ours);
-        }
-    }
-    if let Some(ours) = last_ours {
-        let hdt = ours.hdt();
-        baseline.store_stats = vec![
-            (
-                "nontree_materialized_slots".into(),
-                hdt.nontree_store().materialized_slots(),
-            ),
-            (
-                "nontree_materialized_pages".into(),
-                hdt.nontree_store().materialized_pages(),
-            ),
-            (
-                "nontree_spilled_slots".into(),
-                hdt.nontree_store().spilled_slots(),
-            ),
-            (
-                "tree_materialized_slots".into(),
-                hdt.tree_store().materialized_slots(),
-            ),
-            (
-                "tree_materialized_pages".into(),
-                hdt.tree_store().materialized_pages(),
-            ),
-            (
-                "tree_spilled_slots".into(),
-                hdt.tree_store().spilled_slots(),
-            ),
-            (
-                "materialized_forest_levels".into(),
-                hdt.materialized_forest_levels(),
-            ),
-        ];
-    }
-    baseline
-}
-
 /// The variant subsets used by the paper's plots.
 pub mod variant_sets {
     use dc_batch::Variant;

@@ -9,6 +9,7 @@
 
 use crate::scenario::{Operation, Workload};
 use crate::stats::LatencyHistogram;
+use dc_graph::Edge;
 use dc_sync::waitstats;
 use dynconn::DynamicConnectivity;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -51,11 +52,21 @@ pub fn run_throughput(
     structure: &dyn DynamicConnectivity,
     workload: &Workload,
 ) -> ThroughputResult {
-    for edge in &workload.preload {
+    run_streams(structure, &workload.preload, &workload.per_thread)
+}
+
+/// [`run_throughput`] over any preload and per-thread streams (for example
+/// a [`dc_workloads::GeneratedWorkload`]'s `flat_per_thread()`).
+pub fn run_streams(
+    structure: &dyn DynamicConnectivity,
+    preload: &[Edge],
+    per_thread: &[Vec<Operation>],
+) -> ThroughputResult {
+    for edge in preload {
         structure.add_edge(edge.u(), edge.v());
     }
-    let threads = workload.per_thread.len();
-    let total_ops = workload.total_operations();
+    let threads = per_thread.len();
+    let total_ops = per_thread.iter().map(Vec::len).sum();
 
     waitstats::reset();
     waitstats::set_enabled(true);
@@ -63,8 +74,7 @@ pub fn run_throughput(
     let started = Instant::now();
 
     let latency = std::thread::scope(|scope| {
-        let handles: Vec<_> = workload
-            .per_thread
+        let handles: Vec<_> = per_thread
             .iter()
             .map(|ops| {
                 let start_flag = &start_flag;

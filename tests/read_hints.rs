@@ -146,6 +146,44 @@ fn churn_round(
     });
 }
 
+/// The hint cache must actually serve reads: on variants 8 (fine-grained,
+/// non-blocking reads) and 9 (the paper's algorithm), a quiescent sweep over
+/// pairs whose hints the previous sweep installed records hits. A cache that
+/// only ever misses still answers correctly, so the differential below
+/// cannot catch it.
+#[test]
+fn warm_quiescent_sweep_hits_the_hint_cache_on_variants_8_and_9() {
+    let n = CHURN + STABLE;
+    for variant in Variant::all_extended()
+        .into_iter()
+        .filter(|v| matches!(v.paper_number(), 8 | 9))
+    {
+        let dc = variant.build(n as usize);
+        for (u, v) in edge_pool() {
+            dc.add_edge(u, v);
+        }
+        for v in CHURN..n - 1 {
+            dc.add_edge(v, v + 1);
+        }
+        let sweep = || {
+            for a in 0..n {
+                for b in 0..n {
+                    std::hint::black_box(dc.connected(a, b));
+                }
+            }
+        };
+        sweep();
+        let (cold_hits, _) = dc.read_hint_counters().expect("hinted variant");
+        sweep();
+        let (warm_hits, warm_misses) = dc.read_hint_counters().expect("hinted variant");
+        assert!(
+            warm_hits > cold_hits,
+            "{}: the warm sweep recorded no hint hits ({warm_hits} hits, {warm_misses} misses in total)",
+            variant.name()
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
