@@ -105,7 +105,7 @@ impl FigureData {
 }
 
 /// Escapes a string as a JSON string literal.
-pub fn json_string(s: &str) -> String {
+fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -124,7 +124,7 @@ pub fn json_string(s: &str) -> String {
 }
 
 /// Formats a float as a JSON number (finite; NaN/inf degrade to 0).
-pub fn json_number(v: f64) -> String {
+fn json_number(v: f64) -> String {
     if v.is_finite() {
         if v == v.trunc() && v.abs() < 1e15 {
             format!("{:.1}", v)
@@ -139,7 +139,7 @@ pub fn json_number(v: f64) -> String {
 /// A JSON value, built by the tiers and rendered by [`Json::render`].
 #[derive(Clone, Debug)]
 pub enum Json {
-    /// A float, rendered by [`json_number`].
+    /// A float (non-finite values render as `0`).
     Num(f64),
     /// An integer.
     Int(u64),
