@@ -4,16 +4,15 @@
 //! One [`BatchEngine`] owns an [`Hdt`] and is its only writer. Operations
 //! reach the structure through two doors:
 //!
-//! * **the sharded single-op adapter** ([`DynamicConnectivity`]): each
-//!   calling thread publishes its operation in its private padded intake
-//!   slot ([`dc_sync::IntakeArray`]) and spins; whichever waiter wins the
-//!   leader lock drains *all* published operations into one batch, runs the
-//!   preprocessor ([`crate::plan::UpdatePlan`]) to dedup/annihilate the
-//!   updates, applies the compacted update set through the HDT in one
-//!   combined pass, completes the update slots, and hands every query slot
-//!   back to its owner — the queries then execute **in parallel on their
-//!   own threads** against the consistent post-batch state, through the
-//!   HDT's lock-free read protocol.
+//! * **the sharded single-op adapter** ([`DynamicConnectivity`]): a query
+//!   never enters the intake — it is the HDT's lock-free read, run on the
+//!   caller's thread, and never waits for a leader (the paper's
+//!   non-blocking query). An update is published in the calling thread's
+//!   private padded intake slot ([`dc_sync::IntakeArray`]) and spins;
+//!   whichever waiter wins the leader lock drains *all* published updates
+//!   into one batch, runs the preprocessor ([`crate::plan::UpdatePlan`]) to
+//!   dedup/annihilate them, applies the compacted set through the HDT in
+//!   one combined pass, and completes every slot.
 //! * **the bulk door** ([`BatchConnectivity::apply_batch`]): a caller ships
 //!   a whole operation slice at once. The engine splits it into maximal
 //!   update runs and query runs, compacts and applies each update run as
@@ -24,16 +23,15 @@
 //!
 //! # Linearizability
 //!
-//! Batch boundaries are the linearization points. For the adapter: every
-//! operation in a drained batch was pending (its caller blocked) when the
-//! leader claimed it, so all of them are pairwise concurrent and the engine
-//! may order them freely; it linearizes the whole update block at the
-//! instant the combined pass completes, and each query at its own lock-free
-//! read (which happens after that instant on the owner's thread, hence
-//! observes the batch it rode in). An operation submitted *after* a query
-//! completed lands in a later batch and therefore after that query's
-//! linearization point — real-time order is preserved. For the bulk door the
-//! (stronger) sequential-equivalence contract of
+//! For the adapter: every update in a drained batch was pending (its caller
+//! blocked) when the leader claimed it, so all of them are pairwise
+//! concurrent and the engine may order them freely; an update submitted
+//! after another completed lands in a strictly later batch. A query
+//! linearizes at its own lock-free read. A read that overlaps a combined
+//! pass may observe a prefix of that batch's compacted updates, which is
+//! legal: every member of the batch is still pending, so the engine orders
+//! the observed ones before the query and the rest after it. For the bulk
+//! door the (stronger) sequential-equivalence contract of
 //! [`BatchConnectivity::apply_batch`] holds by construction: updates between
 //! two queries only ever collapse to their net edge set, which is the only
 //! thing the next query run can observe. See `DESIGN.md` §5 for the full
@@ -55,17 +53,17 @@
 //! Recovery is a *rebuild from durable state* (`dc_durable`), never an
 //! in-place resume: the in-memory structure is assumed arbitrarily damaged.
 //!
-//! Waiting is bounded, not faith-based: the adapter's intake wait runs a
-//! spin → yield → park ladder ([`dc_sync::WaitPolicy`]) whose optional
-//! deadline turns a wedged leader into [`EngineError::Timeout`] on the
-//! waiter's thread — the publication is withdrawn race-free
+//! Waiting is bounded, not faith-based: an adapter update's intake wait
+//! runs a spin → yield → park ladder ([`dc_sync::WaitPolicy`]) whose
+//! optional deadline turns a wedged leader into [`EngineError::Timeout`] on
+//! the waiter's thread — the publication is withdrawn race-free
 //! ([`dc_sync::IntakeArray::retract`]) so no later batch can observe a
 //! half-abandoned operation. See `DESIGN.md` §13 for the failure model.
 
 use crate::plan::UpdatePlan;
 use dc_faults::{ChaosSchedule, InjectionPoint};
 use dc_graph::Edge;
-use dc_sync::{waitstats, IntakeArray, RawSpinLock, SlotPoll, WaitLadder, WaitPolicy, WaitStep};
+use dc_sync::{waitstats, IntakeArray, RawSpinLock, WaitLadder, WaitPolicy, WaitStep};
 use dynconn::{BatchConnectivity, BatchOp, DynamicConnectivity, Hdt, QueryResult};
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
@@ -130,9 +128,9 @@ const PARALLEL_QUERY_CHUNK: usize = 256;
 
 /// A commit hook, invoked once per non-empty compacted batch, on the leader
 /// thread, immediately after the batch was applied and *before* any of the
-/// batch's callers are released — batch boundaries are the linearization
-/// points (DESIGN.md §5), so this is exactly the place a write-ahead log
-/// must observe the update stream. The hook receives the structure (already
+/// batch's callers are released — an update is acked only after this, so
+/// this is exactly the place a write-ahead log must observe the update
+/// stream (DESIGN.md §5, §9). The hook receives the structure (already
 /// reflecting the batch; write-quiescent for the duration of the call — the
 /// durable layer serializes checkpoints through it) and the compacted
 /// `adds` / `removes` slices that were applied.
@@ -149,7 +147,7 @@ struct EngineCounters {
     submitted_updates: AtomicU64,
     /// Updates that survived dedup + annihilation and were applied.
     applied_updates: AtomicU64,
-    /// Query operations submitted.
+    /// Query operations submitted through the bulk door.
     submitted_queries: AtomicU64,
     /// Duplicate queries answered by one shared read (bulk door).
     coalesced_queries: AtomicU64,
@@ -169,7 +167,9 @@ pub struct BatchStats {
     pub submitted_updates: u64,
     /// Updates that survived dedup + annihilation and were applied.
     pub applied_updates: u64,
-    /// Query operations submitted.
+    /// Query operations submitted through the bulk door. Adapter queries
+    /// are plain lock-free reads and are not counted: a shared counter on
+    /// the read path would put every reader on one cache line.
     pub submitted_queries: u64,
     /// Duplicate queries answered by one shared read (bulk door).
     pub coalesced_queries: u64,
@@ -196,7 +196,6 @@ impl BatchStats {
 struct Scratch {
     plan: UpdatePlan,
     update_slots: Vec<usize>,
-    query_slots: Vec<usize>,
     adds: Vec<Edge>,
     removes: Vec<Edge>,
     rejected: Vec<Edge>,
@@ -214,10 +213,14 @@ struct QueryScratch {
     pair_index: HashMap<(u32, u32), usize>,
 }
 
+/// One published update: `(add, u, v)`, `add == false` for a removal.
+/// Queries never enter the intake.
+type Update = (bool, u32, u32);
+
 /// The batch-parallel dynamic connectivity engine. See the module docs.
 pub struct BatchEngine {
     hdt: Hdt,
-    intake: IntakeArray<BatchOp, Result<(), EngineError>>,
+    intake: IntakeArray<Update, Result<(), EngineError>>,
     leader: RawSpinLock,
     scratch: UnsafeCell<Scratch>,
     counters: EngineCounters,
@@ -256,7 +259,7 @@ impl BatchEngine {
             .unwrap_or(1);
         Self::with_options(
             n,
-            IntakeArray::<BatchOp, Result<(), EngineError>>::DEFAULT_SLOTS,
+            IntakeArray::<Update, Result<(), EngineError>>::DEFAULT_SLOTS,
             threads,
         )
     }
@@ -335,10 +338,10 @@ impl BatchEngine {
     }
 
     /// Runs `f` with the leader lock held: the structure is write-quiescent
-    /// for the duration (adapter and bulk batches wait it out; lock-free
-    /// readers proceed). This is the manual-checkpoint door used by
-    /// `dc_durable` — and any other caller that needs a consistent walk of
-    /// the live structure.
+    /// for the duration (adapter updates and bulk batches wait it out;
+    /// adapter queries, like every lock-free reader, proceed). This is the
+    /// manual-checkpoint door used by `dc_durable` — and any other caller
+    /// that needs a consistent walk of the live structure.
     pub fn with_exclusive<R>(&self, f: impl FnOnce(&Hdt) -> R) -> R {
         self.leader.lock();
         let result = f(&self.hdt);
@@ -410,17 +413,25 @@ impl BatchEngine {
 
     // ----- the single-op adapter door ----------------------------------------
 
-    /// Publishes one operation and blocks until it is resolved, combining it
-    /// with every concurrently published operation. Returns the answer for
-    /// queries, `None` for updates; fails fast on a poisoned engine and
-    /// types out an expired bounded wait.
-    fn execute_op(&self, op: BatchOp) -> Result<Option<bool>, EngineError> {
+    /// The checks every adapter operation passes before it touches the
+    /// structure: fail fast on a poisoned engine, and cross the
+    /// `IntakeStall` injection point (queries too, so a schedule's check
+    /// ordinals count every adapter operation).
+    fn admit(&self) -> Result<(), EngineError> {
         if self.is_poisoned() {
             return Err(EngineError::Poisoned);
         }
         if let Some(chaos) = self.chaos.get() {
             chaos.stall(InjectionPoint::IntakeStall);
         }
+        Ok(())
+    }
+
+    /// Publishes one update and blocks until it is resolved, combining it
+    /// with every concurrently published update; fails fast on a poisoned
+    /// engine and types out an expired bounded wait.
+    fn execute_update(&self, op: Update) -> Result<(), EngineError> {
+        self.admit()?;
         let idx = self.intake.publish(op);
         // Time blocked in the intake (waiting for a leader to resolve the
         // slot) counts as lock-wait for the active-time-rate statistic;
@@ -428,54 +439,36 @@ impl BatchEngine {
         let mut timer = waitstats::WaitTimer::start();
         let mut ladder = WaitLadder::new(self.wait_policy);
         loop {
-            match self.intake.poll(idx) {
-                SlotPoll::Done(res) => {
+            if let Some(res) = self.intake.poll(idx) {
+                timer.finish();
+                return res;
+            }
+            if self.is_poisoned() {
+                // Withdraw: either nobody ever saw the op (retract wins) or a
+                // leadership claimed it, in which case the poison sweep
+                // resolves the slot imminently — keep polling.
+                if self.intake.retract(idx).is_some() {
                     timer.finish();
-                    return res.map(|()| None);
+                    return Err(EngineError::Poisoned);
                 }
-                SlotPoll::HandedBack(op) => {
+                std::hint::spin_loop();
+            } else if self.leader.try_lock() {
+                timer.finish();
+                self.lead_adapter_batch();
+                self.leader.unlock();
+                timer = waitstats::WaitTimer::start();
+                // Leading was forward progress: restart the ladder's cheap
+                // phase (the deadline, if any, keeps running).
+                ladder.reset_phase();
+            } else if ladder.step() == WaitStep::TimedOut {
+                if self.intake.retract(idx).is_some() {
                     timer.finish();
-                    // The leader applied this batch's updates and handed the
-                    // query back: answer it here, in parallel with the rest
-                    // of the batch's queries, against the post-batch state.
-                    let (u, v) = op.endpoints();
-                    return Ok(Some(self.hdt.connected(u, v)));
+                    dc_obs::counter_add(dc_obs::Counter::WaitTimeouts, 1);
+                    return Err(EngineError::Timeout);
                 }
-                SlotPoll::Pending if self.is_poisoned() => {
-                    // Withdraw: either nobody ever saw the op (retract wins)
-                    // or a leadership claimed it, in which case the poison
-                    // sweep resolves the slot imminently — keep polling.
-                    if self.intake.retract(idx).is_some() {
-                        timer.finish();
-                        return Err(EngineError::Poisoned);
-                    }
-                    std::hint::spin_loop();
-                }
-                SlotPoll::Pending => {
-                    if self.leader.try_lock() {
-                        timer.finish();
-                        self.lead_adapter_batch();
-                        self.leader.unlock();
-                        timer = waitstats::WaitTimer::start();
-                        // Leading was forward progress: restart the ladder's
-                        // cheap phase (the deadline, if any, keeps running).
-                        ladder.reset_phase();
-                    } else {
-                        match ladder.step() {
-                            WaitStep::Continue => {}
-                            WaitStep::TimedOut => {
-                                if self.intake.retract(idx).is_some() {
-                                    timer.finish();
-                                    dc_obs::counter_add(dc_obs::Counter::WaitTimeouts, 1);
-                                    return Err(EngineError::Timeout);
-                                }
-                                // A leader claimed the op after the deadline
-                                // expired; it resolves the slot imminently.
-                                std::hint::spin_loop();
-                            }
-                        }
-                    }
-                }
+                // A leader claimed the op after the deadline expired; it
+                // resolves the slot imminently.
+                std::hint::spin_loop();
             }
         }
     }
@@ -497,39 +490,29 @@ impl BatchEngine {
         }
     }
 
-    /// Drains and executes one adapter batch. Must hold the leader lock.
+    /// Drains and applies one adapter batch of updates. Must hold the leader
+    /// lock.
     fn run_adapter_batch(&self) {
         // SAFETY: leader lock held — exclusive access to the scratch state.
         let scratch = unsafe { &mut *self.scratch.get() };
         scratch.update_slots.clear();
-        scratch.query_slots.clear();
         scratch.plan.clear();
 
         let update_slots = &mut scratch.update_slots;
-        let query_slots = &mut scratch.query_slots;
-        self.intake.claim_pending(|idx, op| {
-            if op.is_query() {
-                query_slots.push(idx);
-            } else {
-                update_slots.push(idx);
-            }
-        });
-        if scratch.update_slots.is_empty() && scratch.query_slots.is_empty() {
+        self.intake.claim_pending(|idx, _| update_slots.push(idx));
+        if scratch.update_slots.is_empty() {
             return;
         }
         self.counters.batches.fetch_add(1, Ordering::Relaxed);
-        let claimed = (scratch.update_slots.len() + scratch.query_slots.len()) as u64;
+        let claimed = scratch.update_slots.len() as u64;
         dc_obs::counter_add(dc_obs::Counter::BatchesDrained, 1);
         dc_obs::gauge_set(dc_obs::Gauge::IntakeDepth, claimed);
         dc_obs::event(dc_obs::EventKind::BatchBegin, claimed, 0);
 
-        // Preprocess: move the update ops out of their slots into the plan.
+        // Preprocess: move the ops out of their slots into the plan.
         for &idx in &scratch.update_slots {
-            match self.intake.take(idx) {
-                BatchOp::Add(u, v) => scratch.plan.record(true, u, v),
-                BatchOp::Remove(u, v) => scratch.plan.record(false, u, v),
-                BatchOp::Query(_, _) => unreachable!("queries are never in the update list"),
-            }
+            let (add, u, v) = self.intake.take(idx);
+            scratch.plan.record(add, u, v);
         }
         self.flush_plan(
             &mut scratch.plan,
@@ -538,22 +521,13 @@ impl BatchEngine {
             &mut scratch.rejected,
         );
 
-        // Fan out: updates are done, wake their callers. (A capacity-
+        // Fan out: the batch is applied, wake its callers. (A capacity-
         // rejected addition still completes with `Ok` — per-edge rejection
         // is reported out-of-band through `drain_rejected`, because the
         // owner of an annihilated duplicate can't be told apart from the
         // owner of the rejected survivor.)
         for &idx in &scratch.update_slots {
             self.intake.complete(idx, Ok(()));
-        }
-        // ...and hand every query back, to run on its owner's thread against
-        // the consistent post-batch state (including the leader's own query,
-        // which it picks up from its slot right after returning from here).
-        self.counters
-            .submitted_queries
-            .fetch_add(scratch.query_slots.len() as u64, Ordering::Relaxed);
-        for &idx in &scratch.query_slots {
-            self.intake.hand_back(idx);
         }
     }
 
@@ -743,7 +717,7 @@ impl BatchEngine {
         if u == v {
             return Ok(());
         }
-        self.execute_op(BatchOp::Add(u, v)).map(|_| ())
+        self.execute_update((true, u, v))
     }
 
     /// [`DynamicConnectivity::remove_edge`] with engine faults surfaced as
@@ -752,18 +726,19 @@ impl BatchEngine {
         if u == v {
             return Ok(());
         }
-        self.execute_op(BatchOp::Remove(u, v)).map(|_| ())
+        self.execute_update((false, u, v))
     }
 
     /// [`DynamicConnectivity::connected`] with engine faults surfaced as
-    /// values instead of panics.
+    /// values instead of panics. The answer is the HDT's lock-free read on
+    /// the calling thread: it never enters the intake and never waits for a
+    /// leader, so it never returns [`EngineError::Timeout`].
     pub fn try_connected(&self, u: u32, v: u32) -> Result<bool, EngineError> {
         if u == v {
             return Ok(true);
         }
-        Ok(self
-            .execute_op(BatchOp::Query(u, v))?
-            .expect("a query always resolves to an answer"))
+        self.admit()?;
+        Ok(self.hdt.connected(u, v))
     }
 
     /// [`BatchConnectivity::apply_batch`] with engine faults surfaced as
@@ -1184,6 +1159,42 @@ mod tests {
         // The withdrawn op had no effect; the engine is healthy.
         assert!(!engine.is_poisoned());
         assert!(!engine.connected(0, 1));
+    }
+
+    /// The adapter's query door is the lock-free read: it answers while
+    /// another thread holds the leader lock, instead of waiting for a
+    /// leader to drain it. The wait is bounded so a blocking door fails the
+    /// test rather than hanging it.
+    #[test]
+    fn queries_answer_while_the_leader_lock_is_held() {
+        let engine = BatchEngine::new(8);
+        engine.add_edge(0, 1);
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (answer_tx, answer_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let engine = &engine;
+            s.spawn(move || {
+                engine.with_exclusive(|_| {
+                    held_tx.send(()).unwrap();
+                    let _ = release_rx.recv_timeout(Duration::from_secs(30));
+                })
+            });
+            held_rx.recv().unwrap();
+            s.spawn(move || {
+                let answers = (engine.try_connected(0, 1), engine.connected(0, 2));
+                answer_tx.send(answers).unwrap();
+            });
+            let answers = answer_rx.recv_timeout(Duration::from_secs(5));
+            // Release the leader before asserting, so a blocked query
+            // finishes and the scope joins either way.
+            release_tx.send(()).unwrap();
+            assert_eq!(
+                answers,
+                Ok((Ok(true), false)),
+                "a query waited on the leader lock"
+            );
+        });
     }
 
     #[test]

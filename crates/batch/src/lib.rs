@@ -7,8 +7,8 @@
 //! execution subsystem that *amortizes*:
 //!
 //! 1. **Sharded intake** ([`dc_sync::IntakeArray`]) — per-thread padded
-//!    slots collect concurrently submitted `add_edge` / `remove_edge` /
-//!    `connected` operations into batches.
+//!    slots collect concurrently submitted `add_edge` / `remove_edge`
+//!    operations into batches.
 //! 2. **Annihilation** ([`plan::UpdatePlan`]) — before any tree work,
 //!    operations on the same edge dedup to one net intent, insert+delete
 //!    pairs cancel outright, and intents matching the current state are
@@ -16,11 +16,10 @@
 //! 3. **Combined-pass execution** ([`engine::BatchEngine`]) — the surviving
 //!    updates go through the HDT in one pass (adds first, then removals),
 //!    under a single leader-lock acquisition for the whole batch.
-//! 4. **Snapshot-consistent parallel queries** — the batch's queries are
-//!    answered against the resulting consistent state: adapter queries run
-//!    on their owners' threads (results fanned back through the intake
-//!    slots), bulk query runs fan out over scoped threads; both use the
-//!    HDT's lock-free read protocol.
+//! 4. **Non-blocking queries** — every query is the HDT's lock-free read:
+//!    an adapter `connected` runs on its caller's thread and never waits
+//!    for a leader; a bulk batch's query run is answered against the state
+//!    at its point of the batch, fanned out over scoped threads when large.
 //!
 //! Two public doors:
 //!

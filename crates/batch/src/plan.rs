@@ -20,11 +20,18 @@
 //!
 //! The plan is leader-owned scratch state, reused across batches: `record`
 //! is O(1) amortized per operation, `compact_into` is one pass over the
-//! distinct edges.
+//! distinct edges, and `clear` costs O(the batch) because the plan keeps at
+//! most `RETAINED_CAPACITY` entries of capacity between batches.
 
 use dc_graph::Edge;
 use dc_sync::FxBuildHasher;
 use std::collections::HashMap;
+
+/// Capacity the plan keeps across [`UpdatePlan::clear`]. Clearing a hash
+/// table costs time in its capacity, not its length, so one bulk batch
+/// (a 400k-edge load) must not leave a table every later single-op batch
+/// pays to wipe; and the bulk batch's memory goes back to the allocator.
+const RETAINED_CAPACITY: usize = 1024;
 
 /// Accumulates the update operations of one batch as net per-edge intents.
 pub struct UpdatePlan {
@@ -48,10 +55,13 @@ impl UpdatePlan {
         }
     }
 
-    /// Resets the plan for the next batch, keeping allocations.
+    /// Resets the plan for the next batch, keeping allocations up to
+    /// `RETAINED_CAPACITY` entries.
     pub fn clear(&mut self) {
         self.intents.clear();
+        self.intents.shrink_to(RETAINED_CAPACITY);
         self.index.clear();
+        self.index.shrink_to(RETAINED_CAPACITY);
         self.submitted = 0;
     }
 
@@ -195,5 +205,30 @@ mod tests {
         let (adds, removes, _) = compact(&plan, &[Edge::new(0, 1)].into_iter().collect());
         assert!(adds.is_empty());
         assert_eq!(removes, vec![Edge::new(0, 1)]);
+    }
+
+    #[test]
+    fn clear_bounds_the_capacity_a_large_batch_leaves_behind() {
+        let mut plan = UpdatePlan::new();
+        for u in 0..100_000u32 {
+            plan.record(true, u, u + 1);
+        }
+        assert_eq!(plan.distinct_edges(), 100_000);
+        plan.clear();
+        assert!(plan.is_empty());
+        assert!(
+            plan.index.capacity() <= 2 * RETAINED_CAPACITY,
+            "index kept capacity {}",
+            plan.index.capacity()
+        );
+        assert!(
+            plan.intents.capacity() <= 2 * RETAINED_CAPACITY,
+            "intents kept capacity {}",
+            plan.intents.capacity()
+        );
+        // Still usable after the shrink.
+        plan.record(true, 0, 1);
+        let (adds, _, survivors) = compact(&plan, &HashSet::new());
+        assert_eq!((adds, survivors), (vec![Edge::new(0, 1)], 1));
     }
 }

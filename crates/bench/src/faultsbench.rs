@@ -14,11 +14,13 @@
 //!   may cost something, and a schedule-free engine is exactly what every
 //!   perfbench workload measures.
 //!
-//! * **recovery-from-poison latency** — a durable store is populated, its
-//!   engine is poisoned by an injected leader panic
+//! * **recovery-from-poison latency** — a durable store is populated (its
+//!   last few acked batches behind its last checkpoint), its engine is
+//!   poisoned by an injected leader panic
 //!   ([`InjectionPoint::LeaderPanicBeforeApply`]), and the wall time of
 //!   [`DurableConnectivity::rebuild`] — the typed door out of the poisoned
-//!   state, close writer → recover from the log → fresh engine — is
+//!   state, close writer → restore the checkpoint and replay the WAL tail
+//!   → fresh engine — is
 //!   measured over `recovery_repeats` poison/rebuild cycles (best and
 //!   median reported), as a release-mode smoke that the poison → rebuild →
 //!   agree contract holds outside the unit tests.
@@ -165,6 +167,12 @@ fn silence_chaos_panics() {
     });
 }
 
+/// Acked chain edges written after the store's last checkpoint, so every
+/// rebuild restores a checkpoint *and* replays a WAL tail. Below the
+/// automatic checkpoint interval, so no automatic checkpoint lands inside
+/// the tail.
+const RECOVERY_TAIL: usize = 8;
+
 /// Populates a durable store, poisons its engine with an injected leader
 /// panic, and measures the wall time of [`DurableConnectivity::rebuild`].
 fn measure_recovery(config: &FaultsBenchConfig) -> RecoveryCell {
@@ -179,9 +187,17 @@ fn measure_recovery(config: &FaultsBenchConfig) -> RecoveryCell {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = DurableConnectivity::create(&dir, vertices, DurableOptions::default())
+        let options = DurableOptions::default();
+        assert!(RECOVERY_TAIL < options.checkpoint_interval as usize);
+        let store = DurableConnectivity::create(&dir, vertices, options)
             .expect("create durable store for the recovery cell");
+        let tail_from = config.recovery_edges.saturating_sub(RECOVERY_TAIL);
         for u in 0..config.recovery_edges as u32 {
+            if u as usize == tail_from {
+                store
+                    .checkpoint()
+                    .expect("checkpoint before the recovery cell's WAL tail");
+            }
             store.add_edge(u, u + 1);
         }
 
@@ -203,6 +219,11 @@ fn measure_recovery(config: &FaultsBenchConfig) -> RecoveryCell {
             .rebuild()
             .expect("the log must stay replayable after an engine poison");
         rebuild_ms.push(start.elapsed().as_secs_f64() * 1e3);
+        assert!(
+            report.batches_replayed > 0,
+            "the rebuild replayed no WAL tail (checkpoint seq {})",
+            report.checkpoint_seq
+        );
         batches_replayed = report.batches_replayed;
         checkpoint_seq = report.checkpoint_seq;
         assert!(

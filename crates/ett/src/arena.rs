@@ -340,6 +340,39 @@ impl Arena {
         Ok(NodeRef(idx))
     }
 
+    /// Allocates `n` consecutive fresh slots with one bump of the
+    /// high-water mark and writes `init(i)` into the `i`-th; returns the
+    /// first slot. Every chunk the block spans is installed once, not per
+    /// slot. For populating a structure before any other thread can see it
+    /// (a new forest's vertex nodes): the free list and the chaos point are
+    /// not consulted, and a block past capacity panics like
+    /// [`Arena::alloc`].
+    pub(crate) fn alloc_block(&self, n: usize, mut init: impl FnMut(usize) -> Node) -> NodeRef {
+        let capacity = self
+            .node_limit
+            .load(Ordering::Relaxed)
+            .min((MAX_CHUNKS * CHUNK_SIZE) as u32) as usize;
+        let count = u32::try_from(n).expect("block larger than the arena");
+        let first = self.len.fetch_add(count, Ordering::AcqRel) as usize;
+        if first + n > capacity {
+            self.len.fetch_sub(count, Ordering::AcqRel);
+            panic!("arena exhausted: more than {capacity} nodes requested");
+        }
+        let mut idx = first;
+        while idx < first + n {
+            let chunk = self.ensure_chunk(idx >> CHUNK_BITS);
+            let end = (first + n).min((idx | CHUNK_MASK) + 1);
+            for slot in idx..end {
+                // SAFETY: `slot` lies inside the chunk just ensured, and it
+                // is unaliased: the bump above handed this block to us
+                // alone, and nobody holds its indices yet.
+                unsafe { std::ptr::write(chunk.add(slot & CHUNK_MASK), init(slot - first)) };
+            }
+            idx = end;
+        }
+        NodeRef(first as u32)
+    }
+
     /// Returns a slot obtained from [`Arena::try_alloc`] that was **never
     /// published** (no other thread ever saw its index) straight to the
     /// free list — no grace period needed. This is the cleanup door for a
@@ -534,6 +567,25 @@ mod tests {
         for (i, &r) in refs.iter().enumerate() {
             assert_eq!(arena.node(r).priority(), i as u32);
         }
+    }
+
+    #[test]
+    fn block_allocation_spans_chunks_and_continues_the_bump() {
+        let arena = Arena::new();
+        let first = arena.alloc();
+        let n = CHUNK_SIZE + 5;
+        let block = arena.alloc_block(n, |i| {
+            let node = Node::new_unlinked();
+            node.set_size(i as u32);
+            node
+        });
+        assert_eq!(block, NodeRef(1));
+        assert_eq!(arena.len(), n + 1);
+        for i in [0, CHUNK_SIZE - 2, CHUNK_SIZE - 1, n - 1] {
+            assert_eq!(arena.node(NodeRef(1 + i as u32)).size(), i as u32);
+        }
+        assert_eq!(arena.alloc(), NodeRef(n as u32 + 1));
+        assert_ne!(first, block);
     }
 
     #[test]

@@ -89,6 +89,20 @@ const HINT_PREFETCH_BATCH: usize = 16;
 /// (`DESIGN.md` §8). Versions therefore advance by two per operation.
 const BUSY: u64 = 1;
 
+/// Increment of the SplitMix64 priority sequence (the golden-ratio gamma).
+const PRIORITY_STEP: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The priority at position `x` of the SplitMix64 sequence: thread-safe
+/// over an atomic counter, cheap, and deterministic for a fixed seed. The
+/// high half of the mix feeds the 31-bit priority (bit 31 is the
+/// vertex/edge band flag).
+fn priority_of(x: u64) -> u32 {
+    let mut z = x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    (((z ^ (z >> 31)) >> 32) as u32) & !(1 << 31)
+}
+
 /// Whether a version word (or a claim's recorded version) is mid-operation.
 #[inline]
 fn is_busy(version: u64) -> bool {
@@ -209,12 +223,14 @@ struct Climb {
 
 /// The Euler Tour Tree forest; see the module documentation.
 pub struct EulerForest {
+    /// Node slots. Slot `v < n` is vertex `v`'s permanent tour node (the
+    /// forest's first allocation is the block of all `n`).
     arena: Arena,
-    vertex_nodes: Vec<NodeRef>,
     /// Normalized tree edge -> (min->max tour node, max->min tour node).
     edge_nodes: ShardedMap<(u32, u32), (NodeRef, NodeRef)>,
     /// Per-vertex root version, read by the lock-free protocol whenever the
     /// vertex is a component representative (side table, see module docs).
+    /// Its length is the vertex count.
     versions: Box<[AtomicU64]>,
     /// Per-vertex component lock, taken by the dynamic connectivity layer
     /// on level-0 representatives. Lazy: upper-level forests never touch it.
@@ -245,7 +261,6 @@ impl EulerForest {
     pub fn with_seed(n: usize, seed: u64) -> Self {
         let forest = EulerForest {
             arena: Arena::new(),
-            vertex_nodes: Vec::new(),
             edge_nodes: ShardedMap::new(),
             versions: (0..n).map(|_| AtomicU64::new(0)).collect(),
             locks: OnceLock::new(),
@@ -254,40 +269,28 @@ impl EulerForest {
             interleave_width: AtomicU8::new(DEFAULT_INTERLEAVE_WIDTH as u8),
             prio_state: AtomicU64::new(seed | 1),
         };
-        let mut forest = forest;
-        let mut nodes = Vec::with_capacity(n);
-        for v in 0..n {
-            let r = forest.arena.alloc();
-            let node = forest.arena.node(r);
-            node.set_endpoints(v as u32, v as u32);
+        // The vertex nodes take the first n draws of the priority sequence,
+        // one per vertex in order.
+        let start = forest
+            .prio_state
+            .fetch_add(PRIORITY_STEP.wrapping_mul(n as u64), Ordering::Relaxed);
+        let first = forest.arena.alloc_block(n, |v| {
+            let x = start.wrapping_add(PRIORITY_STEP.wrapping_mul(v as u64));
             // Vertex nodes draw priorities from the upper band so a tour's
             // treap root is always a vertex node.
-            node.set_priority(forest.next_priority() | (1 << 31));
-            node.set_size(1);
-            node.set_is_root(true);
-            node.set_parent(NodeRef::NONE);
-            nodes.push(r);
-        }
-        forest.vertex_nodes = nodes;
+            Node::new_vertex(v as u32, priority_of(x) | (1 << 31))
+        });
+        debug_assert_eq!(first, NodeRef(0), "vertex nodes are the first block");
         forest
     }
 
     fn next_priority(&self) -> u32 {
-        // SplitMix64 over an atomic counter: thread-safe, cheap, and
-        // deterministic for a fixed seed. The high half of the mix feeds the
-        // 31-bit priority (bit 31 is the vertex/edge band flag).
-        let x = self
-            .prio_state
-            .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed);
-        let mut z = x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (((z ^ (z >> 31)) >> 32) as u32) & !(1 << 31)
+        priority_of(self.prio_state.fetch_add(PRIORITY_STEP, Ordering::Relaxed))
     }
 
     /// Number of vertices in the forest.
     pub fn num_vertices(&self) -> usize {
-        self.vertex_nodes.len()
+        self.versions.len()
     }
 
     /// Number of spanning edges currently in the forest.
@@ -307,7 +310,7 @@ impl EulerForest {
     /// Number of *live* tour nodes: one per vertex plus two per spanning
     /// edge.
     pub fn live_node_count(&self) -> usize {
-        self.vertex_nodes.len() + 2 * self.edge_nodes.len()
+        self.versions.len() + 2 * self.edge_nodes.len()
     }
 
     /// Number of retired tour nodes still waiting out an epoch grace period.
@@ -424,11 +427,9 @@ impl EulerForest {
     /// nodes.
     #[inline]
     pub fn root_lock(&self, r: NodeRef) -> &RawRwLock {
-        let locks = self.locks.get_or_init(|| {
-            (0..self.vertex_nodes.len())
-                .map(|_| RawRwLock::new())
-                .collect()
-        });
+        let locks = self
+            .locks
+            .get_or_init(|| (0..self.versions.len()).map(|_| RawRwLock::new()).collect());
         &locks[self.root_vertex(r) as usize]
     }
 
@@ -443,7 +444,11 @@ impl EulerForest {
     /// The permanent tour node of vertex `v`.
     #[inline]
     pub fn vertex_node_ref(&self, v: u32) -> NodeRef {
-        self.vertex_nodes[v as usize]
+        assert!(
+            (v as usize) < self.versions.len(),
+            "vertex {v} out of range"
+        );
+        NodeRef(v)
     }
 
     /// Returns `true` if the spanning edge `(u, v)` is currently in the
@@ -484,7 +489,7 @@ impl EulerForest {
     #[inline]
     fn hints(&self) -> &HintCache {
         self.hints.get_or_init(|| {
-            let cache = HintCache::new(self.vertex_nodes.len());
+            let cache = HintCache::new(self.versions.len());
             cache.set_enabled(!self.hints_off.load(Ordering::Relaxed));
             cache
         })
@@ -1318,7 +1323,7 @@ impl EulerForest {
         // Per-vertex lists of half-edges: half-edge `2i` leaves `edges[i].0`
         // and `2i + 1` leaves `edges[i].1`; `head` starts each vertex's list
         // and `next` chains it.
-        let mut head = vec![END; self.vertex_nodes.len()];
+        let mut head = vec![END; self.versions.len()];
         let mut next = vec![END; 2 * edges.len()];
         for (i, &(u, v)) in edges.iter().enumerate() {
             for (half, from) in [(2 * i, u), (2 * i + 1, v)] {
@@ -1332,7 +1337,7 @@ impl EulerForest {
         // arena lays them out in tour order.
         let mut nodes = reserved;
         nodes.resize(edges.len(), (NodeRef::NONE, NodeRef::NONE));
-        let mut visited = vec![false; self.vertex_nodes.len()];
+        let mut visited = vec![false; self.versions.len()];
         let mut tour: Vec<NodeRef> = Vec::new();
         let mut spine: Vec<NodeRef> = Vec::new();
         // DFS frames: (vertex, edge it was entered by, next half-edge).
@@ -1779,7 +1784,7 @@ impl EulerForest {
     /// Validates every tree of the forest (writer-side, quiescent use only).
     pub fn validate(&self) {
         let mut seen_roots = std::collections::HashSet::new();
-        for v in 0..self.vertex_nodes.len() as u32 {
+        for v in 0..self.versions.len() as u32 {
             let root = self.component_root(v);
             if seen_roots.insert(root) {
                 self.validate_tree(root);

@@ -116,6 +116,21 @@ impl Node {
         }
     }
 
+    /// Creates the permanent tour node of vertex `v`: a one-node tree,
+    /// root of its own treap.
+    pub(crate) fn new_vertex(v: u32, priority: u32) -> Self {
+        Node {
+            parent: AtomicU32::new(NodeRef::NONE.0),
+            left: AtomicU32::new(NodeRef::NONE.0),
+            right: AtomicU32::new(NodeRef::NONE.0),
+            size: AtomicU32::new(1),
+            a: AtomicU32::new(v),
+            b: AtomicU32::new(v),
+            priority: AtomicU32::new(priority),
+            flags: AtomicU8::new(F_IS_ROOT),
+        }
+    }
+
     // ----- reader-visible fields -------------------------------------------
 
     /// Reads the parent link (used by concurrent readers).

@@ -1,30 +1,23 @@
 //! A sharded MPSC intake array: per-thread, cache-line-padded publication
-//! slots with a claim/hand-back protocol.
+//! slots with a claim/complete protocol.
 //!
 //! This is the mechanism underneath batch-parallel execution engines (the
 //! `dc_batch` crate): every thread owns one padded slot into which it
 //! publishes an operation; whichever thread drives the batch (the *leader*,
 //! elected by the policy layer — typically a [`crate::spinlock::RawSpinLock`])
-//! claims all currently published operations at once, and finishes each slot
-//! in one of two ways:
-//!
-//! * [`IntakeArray::complete`] — the leader executed the operation itself and
-//!   deposits the result; the owner picks it up with [`IntakeArray::poll`];
-//! * [`IntakeArray::hand_back`] — the leader returns the *operation* to its
-//!   owner, who executes it on its own thread (this is how a batch's
-//!   read-only operations run in parallel: the leader applies the batch's
-//!   updates, then hands every query back to run against the resulting
-//!   consistent state concurrently).
+//! claims all currently published operations at once, executes them, and
+//! deposits each result with [`IntakeArray::complete`]; the owner picks it
+//! up with [`IntakeArray::poll`].
 //!
 //! The slot state machine (all transitions are single atomic stores/CAS):
 //!
 //! ```text
 //!            publish                claim            complete
-//!   EMPTY ───────────► PENDING ───────────► CLAIMED ───────────► DONE ─┐
-//!     ▲                                        │                       │ poll
-//!     │                                        │ hand_back             │
-//!     │                                        ▼                       │
-//!     └──────────────── poll ◄───────────── HANDBACK ◄─────────────────┘
+//!   EMPTY ───────────► PENDING ───────────► CLAIMED ───────────► DONE
+//!     ▲                   │ retract                                │
+//!     │                   ▼                                        │
+//!     ├──────────────  RETRACTING                                  │
+//!     └───────────────────────────── poll ◄────────────────────────┘
 //! ```
 //!
 //! Unlike [`crate::combining::CombiningExecutor`], this module fixes no
@@ -42,26 +35,12 @@ use std::sync::{Arc, Weak};
 const SLOT_EMPTY: u8 = 0;
 const SLOT_PENDING: u8 = 1;
 const SLOT_CLAIMED: u8 = 2;
-const SLOT_HANDBACK: u8 = 3;
-const SLOT_DONE: u8 = 4;
+const SLOT_DONE: u8 = 3;
 /// Owner-side withdrawal in progress ([`IntakeArray::retract`]). A distinct
 /// state (not `CLAIMED`) so a leader sweeping the array on the poison path
 /// can tell "a leader claimed this and must resolve it" from "the owner is
 /// taking it back right now" — the sweep must leave the latter alone.
-const SLOT_RETRACTING: u8 = 5;
-
-/// What the owning thread observes when polling its slot.
-#[derive(Debug)]
-pub enum SlotPoll<Op, Res> {
-    /// The operation has not been claimed or finished yet.
-    Pending,
-    /// The leader handed the operation back; the owner must execute it
-    /// itself. The slot is empty again.
-    HandedBack(Op),
-    /// The leader executed the operation; here is the result. The slot is
-    /// empty again.
-    Done(Res),
-}
+const SLOT_RETRACTING: u8 = 4;
 
 /// One padded publication slot. Two slots never share a cache line
 /// (128 bytes covers the spatial-prefetcher pair on x86 and 128-byte lines
@@ -115,9 +94,9 @@ impl Drop for SlotLease {
 // SAFETY: the op cell is written by its owning thread before the PENDING
 // release-store and only read after the claiming thread's acquire CAS; the
 // res cell is written by the leader before the DONE release-store and read
-// by the owner after an acquire load. HANDBACK returns the op to the thread
-// that wrote it (no cross-thread data movement). All cross-thread accesses
-// are therefore ordered by the state variable.
+// by the owner after an acquire load. RETRACTING returns the op to the
+// thread that wrote it (no cross-thread data movement). All cross-thread
+// accesses are therefore ordered by the state variable.
 unsafe impl<Op: Send, Res: Send> Sync for IntakeArray<Op, Res> {}
 unsafe impl<Op: Send, Res: Send> Send for IntakeArray<Op, Res> {}
 
@@ -207,27 +186,19 @@ impl<Op, Res> IntakeArray<Op, Res> {
         idx
     }
 
-    /// Owner-side check of the slot published at `idx`.
-    pub fn poll(&self, idx: usize) -> SlotPoll<Op, Res> {
+    /// Owner-side check of the slot published at `idx`: the result once a
+    /// leader completed it (the slot is empty again), `None` while the
+    /// operation is still pending or claimed.
+    pub fn poll(&self, idx: usize) -> Option<Res> {
         let slot = &self.slots[idx];
-        match slot.state.load(Ordering::Acquire) {
-            SLOT_DONE => {
-                // SAFETY: DONE means the leader finished writing `res`
-                // (release) and will not touch the slot again.
-                let res = unsafe { (*slot.res.get()).take() };
-                slot.state.store(SLOT_EMPTY, Ordering::Release);
-                SlotPoll::Done(res.expect("slot marked DONE without a result"))
-            }
-            SLOT_HANDBACK => {
-                // SAFETY: HANDBACK means the leader stepped away from the
-                // slot with the op left in place; the op was written by this
-                // very thread.
-                let op = unsafe { (*slot.op.get()).take() };
-                slot.state.store(SLOT_EMPTY, Ordering::Release);
-                SlotPoll::HandedBack(op.expect("slot handed back without an op"))
-            }
-            _ => SlotPoll::Pending,
+        if slot.state.load(Ordering::Acquire) != SLOT_DONE {
+            return None;
         }
+        // SAFETY: DONE means the leader finished writing `res` (release) and
+        // will not touch the slot again.
+        let res = unsafe { (*slot.res.get()).take() };
+        slot.state.store(SLOT_EMPTY, Ordering::Release);
+        Some(res.expect("slot marked DONE without a result"))
     }
 
     /// Leader-side: claims every currently `PENDING` slot (CAS to `CLAIMED`)
@@ -235,8 +206,8 @@ impl<Op, Res> IntakeArray<Op, Res> {
     /// Returns the number of slots claimed.
     ///
     /// The caller must finish every claimed slot — [`IntakeArray::take`]
-    /// then [`IntakeArray::complete`], or [`IntakeArray::hand_back`] —
-    /// before its batch ends; a claimed slot's owner spins until then.
+    /// then [`IntakeArray::complete`] — before its batch ends; a claimed
+    /// slot's owner spins until then.
     pub fn claim_pending(&self, mut visit: impl FnMut(usize, &Op)) -> usize {
         let mut claimed = 0;
         // Scan only up to the registration high-water mark: freed indices are
@@ -291,14 +262,6 @@ impl<Op, Res> IntakeArray<Op, Res> {
         slot.state.store(SLOT_DONE, Ordering::Release);
     }
 
-    /// Leader-side: returns a claimed slot (operation still in place) to its
-    /// owner for owner-side execution.
-    pub fn hand_back(&self, idx: usize) {
-        let slot = &self.slots[idx];
-        debug_assert_eq!(slot.state.load(Ordering::Relaxed), SLOT_CLAIMED);
-        slot.state.store(SLOT_HANDBACK, Ordering::Release);
-    }
-
     /// Owner-side: attempts to withdraw this thread's still-`PENDING`
     /// publication at `idx`, returning the operation if no leader claimed it
     /// first.
@@ -310,8 +273,8 @@ impl<Op, Res> IntakeArray<Op, Res> {
     /// CAS PENDING→RETRACTING makes withdrawal race-free: either the owner
     /// wins and the op was never observed by any leader, or a leader already
     /// claimed it and the owner must keep polling (the leader resolves the
-    /// slot imminently — every claim is followed by `complete`/`hand_back`
-    /// before the batch ends, even on the poison path, where
+    /// slot imminently — every claim is followed by `complete` before the
+    /// batch ends, even on the poison path, where
     /// [`IntakeArray::sweep_open`] finishes it).
     pub fn retract(&self, idx: usize) -> Option<Op> {
         let slot = &self.slots[idx];
@@ -403,33 +366,17 @@ mod tests {
     fn single_thread_publish_complete_roundtrip() {
         let intake: IntakeArray<u32, u32> = IntakeArray::with_capacity(4);
         let idx = intake.publish(21);
-        assert!(matches!(intake.poll(idx), SlotPoll::Pending));
+        assert_eq!(intake.poll(idx), None);
         let mut seen = Vec::new();
         let claimed = intake.claim_pending(|i, op| seen.push((i, *op)));
         assert_eq!(claimed, 1);
         assert_eq!(seen, vec![(idx, 21)]);
         let op = intake.take(idx);
         intake.complete(idx, op * 2);
-        match intake.poll(idx) {
-            SlotPoll::Done(res) => assert_eq!(res, 42),
-            other => panic!("expected Done, got {other:?}"),
-        }
+        assert_eq!(intake.poll(idx), Some(42));
         // The slot is reusable.
         let idx2 = intake.publish(7);
         assert_eq!(idx, idx2);
-    }
-
-    #[test]
-    fn hand_back_returns_the_operation_to_the_owner() {
-        let intake: IntakeArray<String, ()> = IntakeArray::with_capacity(4);
-        let idx = intake.publish("mine".to_string());
-        intake.claim_pending(|_, _| {});
-        intake.hand_back(idx);
-        match intake.poll(idx) {
-            SlotPoll::HandedBack(op) => assert_eq!(op, "mine"),
-            other => panic!("expected HandedBack, got {other:?}"),
-        }
-        assert!(matches!(intake.poll(idx), SlotPoll::Pending));
     }
 
     #[test]
@@ -451,12 +398,11 @@ mod tests {
                         let idx = intake.publish(t * per_thread + i);
                         loop {
                             match intake.poll(idx) {
-                                SlotPoll::Done(res) => {
+                                Some(res) => {
                                     assert_eq!(res, t * per_thread + i + 1);
                                     break;
                                 }
-                                SlotPoll::HandedBack(_) => unreachable!(),
-                                SlotPoll::Pending => {
+                                None => {
                                     if leader.try_lock() {
                                         let mut batch = Vec::new();
                                         intake.claim_pending(|idx, _| batch.push(idx));
@@ -497,10 +443,7 @@ mod tests {
                 intake.claim_pending(|_, _| {});
                 let op = intake.take(idx);
                 intake.complete(idx, op);
-                match intake.poll(idx) {
-                    SlotPoll::Done(res) => assert_eq!(res, round),
-                    other => panic!("expected Done, got {other:?}"),
-                }
+                assert_eq!(intake.poll(idx), Some(round));
             })
             .join()
             .unwrap();
@@ -523,10 +466,7 @@ mod tests {
         assert_eq!(intake.retract(idx2), None);
         let op = intake.take(idx2);
         intake.complete(idx2, op + 1);
-        match intake.poll(idx2) {
-            SlotPoll::Done(res) => assert_eq!(res, 11),
-            other => panic!("expected Done, got {other:?}"),
-        }
+        assert_eq!(intake.poll(idx2), Some(11));
     }
 
     #[test]
@@ -538,18 +478,12 @@ mod tests {
         intake.claim_pending(|_, _| {});
         let _abandoned = intake.take(idx);
         assert_eq!(intake.sweep_open(|| Err("poisoned")), 1);
-        match intake.poll(idx) {
-            SlotPoll::Done(Err("poisoned")) => {}
-            other => panic!("expected the sweep's result, got {other:?}"),
-        }
+        assert_eq!(intake.poll(idx), Some(Err("poisoned")));
         // A publication no leader ever saw: the sweep claims and resolves
         // it, discarding the op.
         assert_eq!(intake.publish(2), idx);
         assert_eq!(intake.sweep_open(|| Err("poisoned")), 1);
-        match intake.poll(idx) {
-            SlotPoll::Done(Err("poisoned")) => {}
-            other => panic!("expected the sweep's result, got {other:?}"),
-        }
+        assert_eq!(intake.poll(idx), Some(Err("poisoned")));
         // The swept slot stays reusable, and an empty array sweeps to zero.
         assert_eq!(intake.publish(3), idx);
         assert_eq!(intake.retract(idx), Some(3));

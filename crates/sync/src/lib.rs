@@ -21,7 +21,8 @@
 //! * [`combining`] — a generic flat-combining / parallel-combining executor
 //!   (variants 12 and 13 of the evaluation).
 //! * [`intake`] — the sharded MPSC intake array (padded per-thread slots
-//!   with a claim/hand-back protocol) underneath the `dc_batch` engine.
+//!   with a claim/complete protocol) underneath the `dc_batch` engine's
+//!   update door.
 //! * [`spinlock::RawSpinLock`] — a word-sized raw lock with explicit
 //!   `lock`/`unlock`, used for the per-component locks in the Euler Tour
 //!   Tree forest's per-vertex side table (fine-grained locking, Listing 2).
@@ -56,7 +57,7 @@ pub use combining::{CombiningExecutor, CombiningMode, CombiningTarget};
 pub use elision::ElisionLock;
 pub use epoch::{EpochDomain, EpochGuard, Limbo};
 pub use hash::{FxBuildHasher, FxHasher};
-pub use intake::{IntakeArray, SlotPoll};
+pub use intake::IntakeArray;
 pub use prefetch::prefetch_read;
 pub use rwspinlock::RawRwLock;
 pub use spinlock::RawSpinLock;

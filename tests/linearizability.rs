@@ -323,6 +323,16 @@ fn nonblocking_coarse_histories_are_linearizable() {
     }
 }
 
+/// Variant 14 through its single-op adapter: updates combine in the
+/// intake while queries are lock-free reads that may overlap a combined
+/// pass, so it gets as many rounds as the headline variants.
+#[test]
+fn batch_engine_adapter_histories_are_linearizable() {
+    for round in 0..25 {
+        run_round(Variant::BatchEngine, 6, 3, 5, 9000 + round);
+    }
+}
+
 /// Every shipped variant, variant 14 included through its single-op
 /// adapter door: the per-variant tests above run more rounds on the
 /// headline combinations, this one makes sure none is left unchecked.
