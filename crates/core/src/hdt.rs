@@ -67,9 +67,13 @@ use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Default number of replacement candidates examined before the scan starts
-/// promoting non-replacement edges to the next level (the sampling heuristic
-/// of Iyer et al. that the paper enables for every algorithm).
+/// Default budget of the replacement search's sample pass: at each level it
+/// looks at up to this many non-crossing non-spanning edges of the smaller
+/// side, promoting nothing, before it falls back to promoting (the sampling
+/// heuristic of Iyer et al. that the paper enables for every algorithm). A
+/// replacement among them promotes nothing, and a side with fewer such edges
+/// has no replacement at that level, so that level promotes nothing either.
+/// A budget of 0 skips the sample pass: every level promotes (DESIGN.md §15).
 pub const DEFAULT_SAMPLING_LIMIT: usize = 16;
 
 /// Operation counters backing the Table 3 / Table 4 statistics.
@@ -194,6 +198,26 @@ impl SingletonMarks {
 fn ends(edge: Edge) -> [(u32, u32); 2] {
     let (u, v) = edge.endpoints();
     [(u, v), (v, u)]
+}
+
+/// How one pass of the replacement scan treats the non-crossing edges it
+/// meets (see [`Hdt::remove_spanning_edge`]).
+enum ScanPass {
+    /// Promotes nothing, and stops once `left` reaches 0; each non-crossing
+    /// edge seen takes one from it.
+    Sample { left: usize },
+    /// Promotes every non-crossing edge to the next level.
+    Full,
+}
+
+/// How a pass of the replacement scan ended.
+enum ScanEnd {
+    /// A crossing edge, already moved to `Spanning(level)`.
+    Found(Edge),
+    /// The sample pass spent its budget before its walk ended.
+    BudgetSpent,
+    /// The walk saw every non-spanning edge of the tree, and none crosses.
+    Exhausted,
 }
 
 /// Handle to the component locks acquired by [`Hdt::lock_components`].
@@ -1023,7 +1047,8 @@ impl Hdt {
 
     /// Removes a spanning edge of the given level: cuts it out of every
     /// forest that contains it, searches for a replacement level by level
-    /// (promoting edges along the way), and either reconnects the trees with
+    /// (sampling the smaller side first, and promoting edges only when the
+    /// sample is inconclusive), and either reconnects the trees with
     /// the replacement or commits the split (paper Section 4.1 plus the
     /// prepared-cut trick that keeps readers from ever observing a transient
     /// split when a replacement exists).
@@ -1069,11 +1094,29 @@ impl Hdt {
             } else {
                 rv
             };
-            // 1. Promote exact-level spanning edges of the smaller side.
+            // 1. Sample the smaller side's non-spanning edges, promoting
+            //    nothing (DESIGN.md §15).
+            if self.sampling_limit > 0 {
+                let sample = ScanPass::Sample {
+                    left: self.sampling_limit,
+                };
+                match self.scan_for_replacement(lvl, small_root, sample) {
+                    ScanEnd::Found(found) => {
+                        replacement = Some((found, lvl));
+                        break;
+                    }
+                    // The sample saw every candidate of this level: there is
+                    // no replacement here, and no scan left to pay for.
+                    ScanEnd::Exhausted => continue,
+                    ScanEnd::BudgetSpent => {}
+                }
+            }
+            // 2. Promote exact-level spanning edges of the smaller side.
             self.promote_spanning_edges(lvl, small_root);
-            // 2. Scan the smaller side's non-spanning edges for a replacement.
-            let mut sampling_budget = self.sampling_limit;
-            if let Some(found) = self.scan_for_replacement(lvl, small_root, &mut sampling_budget) {
+            // 3. Scan for a replacement, promoting every other candidate.
+            if let ScanEnd::Found(found) =
+                self.scan_for_replacement(lvl, small_root, ScanPass::Full)
+            {
                 replacement = Some((found, lvl));
                 break;
             }
@@ -1181,31 +1224,21 @@ impl Hdt {
     }
 
     /// Scans the non-spanning edges of exactly `level` adjacent to the tree
-    /// of `root`, promoting non-replacement edges (after the sampling budget
-    /// is exhausted) and returning the first replacement found.
+    /// of `root` for a replacement, treating the others as `pass` says.
     ///
     /// When a replacement is found its state has already been advanced to
     /// `Spanning(level)`; the caller links it into the forests. The break
     /// aborts the forest's walk — pending aggregate repairs are skipped,
     /// which is the conservative direction (see
     /// [`EulerForest::visit_marked_vertices`]).
-    fn scan_for_replacement(
-        &self,
-        level: usize,
-        root: NodeRef,
-        sampling_budget: &mut usize,
-    ) -> Option<Edge> {
+    fn scan_for_replacement(&self, level: usize, root: NodeRef, mut pass: ScanPass) -> ScanEnd {
         let forest = self.forest(level);
-        let mut found = None;
+        let mut end = ScanEnd::Exhausted;
         forest.visit_marked_vertices(root, Mark::NonSpanning, |vertex| {
-            found = self.scan_vertex(level, vertex, root, sampling_budget);
-            if found.is_some() {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
+            self.scan_vertex(level, vertex, root, &mut pass)
+                .map_break(|stop| end = stop)
         });
-        found
+        end
     }
 
     /// Returns `true` if `edge`, whose endpoint other than `far` lies in
@@ -1224,18 +1257,20 @@ impl Hdt {
         crosses
     }
 
+    /// The per-vertex body of [`Hdt::scan_for_replacement`]: breaks with
+    /// the replacement it claimed, or when a sample pass spent its budget.
     fn scan_vertex(
         &self,
         level: usize,
         vertex: u32,
         root: NodeRef,
-        sampling_budget: &mut usize,
-    ) -> Option<Edge> {
+        pass: &mut ScanPass,
+    ) -> ControlFlow<ScanEnd> {
         // Allocation-free visit: edges stream through the store's fixed
         // chunk buffer, and the closure may mutate the very slot being
         // visited (promotions below remove from it) — the visitor restarts
         // on reorganization, and every arm here is idempotent per edge.
-        let mut found = None;
+        let mut end = None;
         let _ = self.nontree_adj.for_each_edge(level, vertex, |far| {
             let edge = Edge::new(vertex, far);
             let state = match self.states.get(&edge) {
@@ -1243,89 +1278,75 @@ impl Hdt {
                 // Removed concurrently; the copy is cleaned by its owner.
                 None => return ControlFlow::Continue(()),
             };
-            match state.status() {
+            let initial = match state.status() {
+                // A lock-free addition is in flight (level is always 0 for
+                // Initial edges). Both passes help it complete (paper
+                // Listing 10).
                 Status::Initial => {
-                    // A lock-free addition is in flight (level is always 0 for
-                    // Initial edges). Help it complete (paper Listing 10).
                     debug_assert_eq!(level, 0);
-                    if self.crosses(level, edge, far, root) {
-                        if self
-                            .states
-                            .compare_exchange(
-                                &edge,
-                                &state,
-                                state.with(Status::Spanning, level as u8),
-                            )
-                            .is_ok()
-                        {
-                            found = Some(edge);
-                            return ControlFlow::Break(());
-                        }
-                    } else {
-                        // Help finish the addition as a non-spanning edge:
-                        // publish a second info copy first (the original
-                        // adder retracts its own copy when its CAS fails), so
-                        // the edge is never visible as NonSpanning without
-                        // adjacency information.
-                        self.add_nonspanning_info(level, edge);
-                        if self
-                            .states
-                            .compare_exchange(
-                                &edge,
-                                &state,
-                                state.with(Status::NonSpanning, level as u8),
-                            )
-                            .is_err()
-                        {
-                            self.remove_nonspanning_info(level, edge);
-                        }
-                    }
+                    true
                 }
-                Status::NonSpanning if state.level() as usize == level => {
-                    if self.crosses(level, edge, far, root) {
-                        if self
-                            .states
-                            .compare_exchange(
-                                &edge,
-                                &state,
-                                state.with(Status::Spanning, level as u8),
-                            )
-                            .is_ok()
-                        {
-                            found = Some(edge);
-                            return ControlFlow::Break(());
-                        }
-                    } else if *sampling_budget > 0 {
-                        // Sampling fast path: examine without promoting.
-                        *sampling_budget -= 1;
-                    } else {
-                        // Promote the edge to the next level (it cannot be a
-                        // replacement now and will stay non-spanning there).
-                        let next_level = level + 1;
-                        assert!(next_level < self.levels.len(), "level structure overflow");
-                        self.add_nonspanning_info(next_level, edge);
-                        if self
-                            .states
-                            .compare_exchange(
-                                &edge,
-                                &state,
-                                state.with(Status::NonSpanning, next_level as u8),
-                            )
-                            .is_ok()
-                        {
-                            self.remove_nonspanning_info(level, edge);
-                        } else {
-                            self.remove_nonspanning_info(next_level, edge);
-                        }
-                    }
+                Status::NonSpanning if state.level() as usize == level => false,
+                // Spanning, InProgress or stale-level copies: skip.
+                _ => return ControlFlow::Continue(()),
+            };
+            if self.crosses(level, edge, far, root) {
+                if self
+                    .states
+                    .compare_exchange(&edge, &state, state.with(Status::Spanning, level as u8))
+                    .is_ok()
+                {
+                    end = Some(ScanEnd::Found(edge));
+                    return ControlFlow::Break(());
                 }
-                _ => {
-                    // Spanning, InProgress or stale-level copies: skip.
+                return ControlFlow::Continue(());
+            }
+            if initial {
+                // Help finish the addition as a non-spanning edge:
+                // publish a second info copy first (the original adder
+                // retracts its own copy when its CAS fails), so the edge
+                // is never visible as NonSpanning without adjacency
+                // information.
+                self.add_nonspanning_info(level, edge);
+                if self
+                    .states
+                    .compare_exchange(&edge, &state, state.with(Status::NonSpanning, level as u8))
+                    .is_err()
+                {
+                    self.remove_nonspanning_info(level, edge);
+                }
+            } else if let ScanPass::Full = pass {
+                // Promote the edge to the next level (it cannot be a
+                // replacement now and will stay non-spanning there).
+                let next_level = level + 1;
+                assert!(next_level < self.levels.len(), "level structure overflow");
+                self.add_nonspanning_info(next_level, edge);
+                if self
+                    .states
+                    .compare_exchange(
+                        &edge,
+                        &state,
+                        state.with(Status::NonSpanning, next_level as u8),
+                    )
+                    .is_ok()
+                {
+                    self.remove_nonspanning_info(level, edge);
+                } else {
+                    self.remove_nonspanning_info(next_level, edge);
+                }
+            }
+            // The sample pass counts every non-crossing edge it met, helped
+            // ones too, so it looks at no more than its budget per level.
+            if let ScanPass::Sample { left } = pass {
+                *left -= 1;
+                if *left == 0 {
+                    end = Some(ScanEnd::BudgetSpent);
+                    return ControlFlow::Break(());
                 }
             }
             ControlFlow::Continue(())
         });
-        found
+        end.map_or(ControlFlow::Continue(()), ControlFlow::Break)
     }
 
     /// Validates the full structure (intended for tests): every forest's
@@ -1420,14 +1441,11 @@ mod tests {
         assert_eq!(hdt.tree_store().materialized_slots(), 3);
     }
 
-    #[test]
-    fn upper_forest_levels_materialize_only_when_promoted_into() {
-        let hdt = Hdt::with_sampling(16, 0); // sampling off => eager promotion
-        assert_eq!(hdt.materialized_forest_levels(), 1);
-        // Two 4-cliques joined by a spanning bridge (0, 4) and a non-spanning
-        // one (1, 5). Cutting (0, 4) leaves two equal halves, so whichever
-        // the search takes as the smaller side holds three spanning edges to
-        // promote, in any slot visiting order.
+    /// Adds two 4-cliques, {0..4} and {4..8}, then the spanning bridge
+    /// (0, 4). Cutting the bridge leaves two equal halves, so whichever the
+    /// search takes as the smaller side holds three spanning edges and three
+    /// non-crossing non-spanning edges, in any slot visiting order.
+    fn two_cliques_and_a_bridge(hdt: &Hdt) {
         for base in [0, 4] {
             for u in base..base + 4 {
                 for v in (u + 1)..base + 4 {
@@ -1436,6 +1454,14 @@ mod tests {
             }
         }
         hdt.add_edge_locked(0, 4);
+    }
+
+    #[test]
+    fn upper_forest_levels_materialize_only_when_promoted_into() {
+        let hdt = Hdt::with_sampling(16, 0); // sampling off => eager promotion
+        assert_eq!(hdt.materialized_forest_levels(), 1);
+        two_cliques_and_a_bridge(&hdt);
+        // A non-spanning second bridge (1, 5) to replace (0, 4).
         hdt.add_edge_locked(1, 5);
         assert_eq!(hdt.materialized_forest_levels(), 1);
         hdt.remove_edge_locked(0, 4);
@@ -1448,6 +1474,55 @@ mod tests {
         assert!(
             !hdt.forest(1).hints_materialized(),
             "upper-level forests are never queried, so they must not pay the hint table"
+        );
+        hdt.validate();
+    }
+
+    #[test]
+    fn a_replacement_found_by_the_sample_promotes_nothing() {
+        let hdt = Hdt::new(16);
+        two_cliques_and_a_bridge(&hdt);
+        // The smaller side holds four non-spanning edges, the replacement
+        // among them: all within the default budget.
+        hdt.add_edge_locked(1, 5);
+        hdt.remove_edge_locked(0, 4);
+        assert!(hdt.connected(0, 4), "(1, 5) replaces the bridge");
+        assert_eq!(
+            hdt.materialized_forest_levels(),
+            1,
+            "a replacement found by the sample must not promote"
+        );
+        hdt.validate();
+    }
+
+    #[test]
+    fn a_split_whose_side_fits_the_budget_promotes_nothing() {
+        let hdt = Hdt::new(16);
+        two_cliques_and_a_bridge(&hdt);
+        // Three non-spanning edges on the smaller side, fewer than the
+        // budget: the sample sees them all, so the level has no replacement.
+        hdt.remove_edge_locked(0, 4);
+        assert!(!hdt.connected(0, 4), "nothing replaces the bridge");
+        assert_eq!(hdt.component_size(0), 4);
+        assert_eq!(
+            hdt.materialized_forest_levels(),
+            1,
+            "a sample that saw every candidate must not promote"
+        );
+        hdt.validate();
+    }
+
+    #[test]
+    fn a_spent_sampling_budget_falls_back_to_promotion() {
+        let hdt = Hdt::with_sampling(16, 1);
+        two_cliques_and_a_bridge(&hdt);
+        // Three non-crossing non-spanning edges and no crossing one: a
+        // budget of 1 runs out, so the level promotes and scans in full.
+        hdt.remove_edge_locked(0, 4);
+        assert!(!hdt.connected(0, 4), "nothing replaces the bridge");
+        assert!(
+            hdt.materialized_forest_levels() > 1,
+            "a spent budget must fall back to promotion"
         );
         hdt.validate();
     }

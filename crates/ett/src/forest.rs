@@ -403,9 +403,13 @@ impl EulerForest {
         let version = self.versions[root as usize].fetch_add(1, Ordering::Release) + 1;
         debug_assert!(is_busy(version), "root {root} was already busy");
         // Setting the bit invalidates every outstanding hint on this root
-        // (DESIGN.md §8); surface that as a counter + flight event.
-        dc_obs::counter_add(dc_obs::Counter::HintInvalidations, 1);
-        dc_obs::event(dc_obs::EventKind::HintInvalidation, root as u64, version);
+        // (DESIGN.md §8); surface that as a counter + flight event. A forest
+        // whose hint table was never built (every upper level, and a level 0
+        // that has served no query) holds no hint to invalidate.
+        if self.hints_materialized() {
+            dc_obs::counter_add(dc_obs::Counter::HintInvalidations, 1);
+            dc_obs::event(dc_obs::EventKind::HintInvalidation, root as u64, version);
+        }
     }
 
     /// Clears the busy bit on `r`'s version with a second bump (writer only,

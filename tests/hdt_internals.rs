@@ -195,16 +195,21 @@ fn component_size_matches_reachable_set() {
 #[test]
 fn sampling_heuristic_does_not_change_answers() {
     // The sampling fast path (Section 5.2, "Sampling") is a performance
-    // heuristic only: with and without it, connectivity answers must match.
+    // heuristic only: at every budget, from off (0) through one that
+    // outlasts most smaller sides (64), connectivity answers must match,
+    // and the structure must stay valid throughout, not just at the end.
     let n = 64u32;
     let pool = random_edges(n, 180, 0x77);
-    let with_sampling = Hdt::new(n as usize);
-    let without_sampling = Hdt::with_sampling(n as usize, 0);
+    let budgets = [0, 1, 4, 16, 64];
+    let hdts: Vec<Hdt> = budgets
+        .iter()
+        .map(|&budget| Hdt::with_sampling(n as usize, budget))
+        .collect();
     let mut rng = StdRng::seed_from_u64(0x88);
-    for _ in 0..700 {
+    for step in 1..=700 {
         let (u, v) = pool[rng.gen_range(0..pool.len())];
         let add = rng.gen_bool(0.55);
-        for hdt in [&with_sampling, &without_sampling] {
+        for hdt in &hdts {
             hdt.with_components_locked(u, v, || {
                 if add {
                     hdt.add_edge_locked(u, v);
@@ -215,14 +220,20 @@ fn sampling_heuristic_does_not_change_answers() {
         }
         let a = rng.gen_range(0..n);
         let b = rng.gen_range(0..n);
-        assert_eq!(
-            with_sampling.connected(a, b),
-            without_sampling.connected(a, b),
-            "sampling changed the connectivity answer for ({a}, {b})"
-        );
+        let expected = hdts[0].connected(a, b);
+        for (hdt, budget) in hdts.iter().zip(budgets) {
+            assert_eq!(
+                hdt.connected(a, b),
+                expected,
+                "budget {budget} changed the connectivity answer for ({a}, {b})"
+            );
+        }
+        if step % 50 == 0 {
+            for hdt in &hdts {
+                hdt.validate();
+            }
+        }
     }
-    with_sampling.validate();
-    without_sampling.validate();
 }
 
 #[test]
