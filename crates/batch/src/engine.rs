@@ -63,12 +63,13 @@
 use crate::plan::UpdatePlan;
 use dc_faults::{ChaosSchedule, InjectionPoint};
 use dc_graph::Edge;
+use dc_obs::Counter;
 use dc_sync::{waitstats, IntakeArray, RawSpinLock, WaitLadder, WaitPolicy, WaitStep};
 use dynconn::{BatchConnectivity, BatchOp, DynamicConnectivity, Hdt, QueryResult};
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -136,27 +137,8 @@ const PARALLEL_QUERY_CHUNK: usize = 256;
 /// `adds` / `removes` slices that were applied.
 pub type CommitHook = Box<dyn Fn(&Hdt, &[Edge], &[Edge]) + Send + Sync>;
 
-/// Operation counters of a [`BatchEngine`].
-#[derive(Debug, Default)]
-struct EngineCounters {
-    /// Batches drained from the intake (adapter door).
-    batches: AtomicU64,
-    /// Bulk batches applied through `apply_batch`.
-    bulk_batches: AtomicU64,
-    /// Update operations submitted (before preprocessing).
-    submitted_updates: AtomicU64,
-    /// Updates that survived dedup + annihilation and were applied.
-    applied_updates: AtomicU64,
-    /// Query operations submitted through the bulk door.
-    submitted_queries: AtomicU64,
-    /// Duplicate queries answered by one shared read (bulk door).
-    coalesced_queries: AtomicU64,
-    /// Additions the forest refused for capacity (surfaced through
-    /// [`BatchEngine::drain_rejected`], excluded from the commit hook).
-    rejected_updates: AtomicU64,
-}
-
-/// A point-in-time copy of the engine counters.
+/// The engine's statistics: a point-in-time read of the engine's events in
+/// its structure's [`dc_obs::Tally`] (see [`BatchEngine::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchStats {
     /// Batches drained from the intake (adapter door).
@@ -176,6 +158,9 @@ pub struct BatchStats {
     /// Additions the forest refused for capacity (see
     /// [`BatchEngine::drain_rejected`]).
     pub rejected_updates: u64,
+    /// Adapter updates whose first try for the leader lock failed, so that
+    /// they waited behind another caller's batch.
+    pub queued_updates: u64,
 }
 
 impl BatchStats {
@@ -223,7 +208,6 @@ pub struct BatchEngine {
     intake: IntakeArray<Update, Result<(), EngineError>>,
     leader: RawSpinLock,
     scratch: UnsafeCell<Scratch>,
-    counters: EngineCounters,
     query_threads: usize,
     commit_hook: Option<CommitHook>,
     /// `STATE_RUNNING` until a leader panics, then `STATE_POISONED` forever.
@@ -281,7 +265,6 @@ impl BatchEngine {
             intake: IntakeArray::with_capacity(intake_capacity),
             leader: RawSpinLock::new(),
             scratch: UnsafeCell::new(Scratch::default()),
-            counters: EngineCounters::default(),
             query_threads: query_threads.max(1),
             commit_hook: None,
             state: AtomicU8::new(STATE_RUNNING),
@@ -349,17 +332,25 @@ impl BatchEngine {
         result
     }
 
-    /// Snapshot of the engine counters.
+    /// The engine counters, read from the structure's tally.
     pub fn stats(&self) -> BatchStats {
+        let t = self.hdt.tally();
         BatchStats {
-            batches: self.counters.batches.load(Ordering::Relaxed),
-            bulk_batches: self.counters.bulk_batches.load(Ordering::Relaxed),
-            submitted_updates: self.counters.submitted_updates.load(Ordering::Relaxed),
-            applied_updates: self.counters.applied_updates.load(Ordering::Relaxed),
-            submitted_queries: self.counters.submitted_queries.load(Ordering::Relaxed),
-            coalesced_queries: self.counters.coalesced_queries.load(Ordering::Relaxed),
-            rejected_updates: self.counters.rejected_updates.load(Ordering::Relaxed),
+            batches: t.get(Counter::BatchesDrained),
+            bulk_batches: t.get(Counter::BatchBulkBatches),
+            submitted_updates: t.get(Counter::BatchSubmittedUpdates),
+            applied_updates: t.get(Counter::BatchUpdatesApplied),
+            submitted_queries: t.get(Counter::BatchSubmittedQueries),
+            coalesced_queries: t.get(Counter::BatchCoalescedQueries),
+            rejected_updates: t.get(Counter::CapacityRejections),
+            queued_updates: t.get(Counter::BatchQueuedUpdates),
         }
+    }
+
+    /// Batches led so far through either door: the leader's progress count.
+    fn batches_led(&self) -> u64 {
+        let t = self.hdt.tally();
+        t.get(Counter::BatchesDrained) + t.get(Counter::BatchBulkBatches)
     }
 
     // ----- fault containment -------------------------------------------------
@@ -380,9 +371,9 @@ impl BatchEngine {
     /// Drains the additions the forest refused for capacity since the last
     /// call. A rejected addition was *not* applied and *not* reported to the
     /// commit hook — callers that must not lose writes re-submit them after
-    /// raising capacity (or route them elsewhere). Tallied on
-    /// [`BatchStats::rejected_updates`] and
-    /// [`dc_obs::Counter::CapacityRejections`].
+    /// raising capacity (or route them elsewhere). Counted on
+    /// [`Counter::CapacityRejections`], which
+    /// [`BatchStats::rejected_updates`] reads.
     pub fn drain_rejected(&self) -> Vec<Edge> {
         std::mem::take(&mut *self.rejected.lock().unwrap_or_else(|e| e.into_inner()))
     }
@@ -400,12 +391,10 @@ impl BatchEngine {
         // Release everyone *after* the state flip: a waiter that misses the
         // sweep (publishes later) observes the flag and retracts itself.
         let released = self.intake.sweep_open(|| Err(EngineError::Poisoned));
-        dc_obs::counter_add(dc_obs::Counter::EnginePoisons, 1);
-        dc_obs::gauge_set(dc_obs::Gauge::EnginePoisoned, 1);
+        self.hdt.tally().add(Counter::EnginePoisons, 1);
         dc_obs::event(
             dc_obs::EventKind::EnginePoison,
-            self.counters.batches.load(Ordering::Relaxed)
-                + self.counters.bulk_batches.load(Ordering::Relaxed),
+            self.batches_led(),
             released as u64,
         );
         dc_obs::auto_dump("engine-poisoned");
@@ -438,6 +427,7 @@ impl BatchEngine {
         // leading a batch is work, so the timer pauses around it.
         let mut timer = waitstats::WaitTimer::start();
         let mut ladder = WaitLadder::new(self.wait_policy);
+        let mut first_try = true;
         loop {
             if let Some(res) = self.intake.poll(idx) {
                 timer.finish();
@@ -453,6 +443,7 @@ impl BatchEngine {
                 }
                 std::hint::spin_loop();
             } else if self.leader.try_lock() {
+                first_try = false;
                 timer.finish();
                 self.lead_adapter_batch();
                 self.leader.unlock();
@@ -460,15 +451,20 @@ impl BatchEngine {
                 // Leading was forward progress: restart the ladder's cheap
                 // phase (the deadline, if any, keeps running).
                 ladder.reset_phase();
-            } else if ladder.step() == WaitStep::TimedOut {
-                if self.intake.retract(idx).is_some() {
-                    timer.finish();
-                    dc_obs::counter_add(dc_obs::Counter::WaitTimeouts, 1);
-                    return Err(EngineError::Timeout);
+            } else {
+                if std::mem::take(&mut first_try) {
+                    self.hdt.tally().add(Counter::BatchQueuedUpdates, 1);
                 }
-                // A leader claimed the op after the deadline expired; it
-                // resolves the slot imminently.
-                std::hint::spin_loop();
+                if ladder.step() == WaitStep::TimedOut {
+                    if self.intake.retract(idx).is_some() {
+                        timer.finish();
+                        self.hdt.tally().add(Counter::WaitTimeouts, 1);
+                        return Err(EngineError::Timeout);
+                    }
+                    // A leader claimed the op after the deadline expired; it
+                    // resolves the slot imminently.
+                    std::hint::spin_loop();
+                }
             }
         }
     }
@@ -503,9 +499,8 @@ impl BatchEngine {
         if scratch.update_slots.is_empty() {
             return;
         }
-        self.counters.batches.fetch_add(1, Ordering::Relaxed);
+        self.hdt.tally().add(Counter::BatchesDrained, 1);
         let claimed = scratch.update_slots.len() as u64;
-        dc_obs::counter_add(dc_obs::Counter::BatchesDrained, 1);
         dc_obs::gauge_set(dc_obs::Gauge::IntakeDepth, claimed);
         dc_obs::event(dc_obs::EventKind::BatchBegin, claimed, 0);
 
@@ -561,9 +556,8 @@ impl BatchEngine {
         let _span = dc_obs::span(dc_obs::SpanId::BatchFlush);
         let hdt = &self.hdt;
         let survivors = plan.compact_into(|e| hdt.has_edge(e.u(), e.v()), adds, removes);
-        self.counters
-            .submitted_updates
-            .fetch_add(plan.submitted() as u64, Ordering::Relaxed);
+        hdt.tally()
+            .add(Counter::BatchSubmittedUpdates, plan.submitted() as u64);
         dc_obs::event(
             dc_obs::EventKind::BatchFlush,
             survivors as u64,
@@ -581,9 +575,6 @@ impl BatchEngine {
                 .try_apply_compacted_batch_locked(adds, removes, rejected);
         }
         if !rejected.is_empty() {
-            self.counters
-                .rejected_updates
-                .fetch_add(rejected.len() as u64, Ordering::Relaxed);
             adds.retain(|e| !rejected.contains(e));
             self.rejected
                 .lock()
@@ -597,10 +588,8 @@ impl BatchEngine {
             Ordering::Relaxed,
         );
         let applied = survivors - rejected.len();
-        self.counters
-            .applied_updates
-            .fetch_add(applied as u64, Ordering::Relaxed);
-        dc_obs::counter_add(dc_obs::Counter::BatchUpdatesApplied, applied as u64);
+        hdt.tally()
+            .add(Counter::BatchUpdatesApplied, applied as u64);
         // The batch is applied but none of its callers have been released:
         // the commit hook observes every batch at its linearization point,
         // with the structure quiescent. Fully annihilated (or fully
@@ -629,9 +618,9 @@ impl BatchEngine {
         if q.run.is_empty() {
             return;
         }
-        self.counters
-            .submitted_queries
-            .fetch_add(q.run.len() as u64, Ordering::Relaxed);
+        self.hdt
+            .tally()
+            .add(Counter::BatchSubmittedQueries, q.run.len() as u64);
 
         // Short runs (the common case when updates and queries alternate):
         // the coalescing table costs more than it saves, answer directly.
@@ -661,9 +650,10 @@ impl BatchEngine {
                 unique.len() - 1
             })
         }));
-        self.counters
-            .coalesced_queries
-            .fetch_add((q.run.len() - q.unique.len()) as u64, Ordering::Relaxed);
+        self.hdt.tally().add(
+            Counter::BatchCoalescedQueries,
+            (q.run.len() - q.unique.len()) as u64,
+        );
 
         // Fan out only when every spawned thread gets a chunk big enough to
         // amortize its spawn (a scoped spawn costs more than a few hundred
@@ -773,7 +763,7 @@ impl BatchEngine {
     /// The bulk batch body; runs behind [`BatchEngine::try_apply_batch`]'s
     /// unwind boundary with the leader lock held.
     fn run_bulk_batch(&self, ops: &[BatchOp]) -> Vec<QueryResult> {
-        self.counters.bulk_batches.fetch_add(1, Ordering::Relaxed);
+        self.hdt.tally().add(Counter::BatchBulkBatches, 1);
         // SAFETY: leader lock held — exclusive access to the scratch state.
         let scratch = unsafe { &mut *self.scratch.get() };
         scratch.plan.clear();
@@ -842,10 +832,7 @@ impl BatchEngine {
                 if !engine.leader.is_locked() {
                     return None;
                 }
-                Some(
-                    engine.counters.batches.load(Ordering::Relaxed)
-                        + engine.counters.bulk_batches.load(Ordering::Relaxed),
-                )
+                Some(engine.batches_led())
             }))
             .probe(dc_faults::Probe::new("ett-epoch", move || {
                 let engine = epoch.upgrade()?;
@@ -885,9 +872,8 @@ impl DynamicConnectivity for BatchEngine {
         self.hdt.num_vertices()
     }
 
-    fn read_hint_counters(&self) -> Option<(u64, u64)> {
-        let stats = self.hdt.stats();
-        Some((stats.read_hint_hits, stats.read_hint_misses))
+    fn tally(&self) -> Option<&dc_obs::Tally> {
+        Some(self.hdt.tally())
     }
 
     fn set_read_hints(&self, enabled: bool) {
@@ -1195,6 +1181,27 @@ mod tests {
                 "a query waited on the leader lock"
             );
         });
+    }
+
+    #[test]
+    fn an_update_behind_a_held_leader_lock_counts_as_queued() {
+        let engine = BatchEngine::new(8);
+        engine.add_edge(0, 1);
+        assert_eq!(engine.stats().queued_updates, 0, "it led its own batch");
+        std::thread::scope(|s| {
+            engine.with_exclusive(|_| {
+                s.spawn(|| engine.add_edge(1, 2));
+                // The update's first try for the leader lock fails while
+                // this holds it; release once it has counted.
+                let deadline = std::time::Instant::now() + Duration::from_secs(30);
+                while engine.stats().queued_updates == 0 && std::time::Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+            });
+        });
+        assert!(engine.connected(0, 2));
+        let stats = engine.stats();
+        assert_eq!((stats.queued_updates, stats.submitted_updates), (1, 2));
     }
 
     #[test]

@@ -14,9 +14,9 @@
 
 use dc_batch::Variant;
 use dc_bench::{
-    run_batch_bench, run_durability_bench, run_ett_bench, run_faults_bench, run_latency_bench,
-    run_obs_bench, run_throughput, BatchBenchConfig, BenchConfig, DurabilityBenchConfig,
-    EttBenchConfig, FaultsBenchConfig, LatencyBenchConfig, ObsBenchConfig, Scenario, Workload,
+    run_batch_bench, run_ett_bench, run_latency_bench, run_obs_bench, run_throughput,
+    BatchBenchConfig, BenchConfig, EttBenchConfig, LatencyBenchConfig, ObsBenchConfig, Scenario,
+    Workload,
 };
 use dc_graph::GraphSpec;
 
@@ -60,26 +60,10 @@ const TIERS: &[Tier] = &[
         },
     },
     Tier {
-        name: "durability",
-        artifact: "BENCH_durability.json",
-        run: || {
-            let b = run_durability_bench(&DurabilityBenchConfig::from_env());
-            Outcome::report(b.render_text(), b.to_json())
-        },
-    },
-    Tier {
         name: "ett",
         artifact: "BENCH_ett.json",
         run: || {
             let b = run_ett_bench(&EttBenchConfig::from_env());
-            Outcome::report(b.render_text(), b.to_json())
-        },
-    },
-    Tier {
-        name: "faults",
-        artifact: "BENCH_faults.json",
-        run: || {
-            let b = run_faults_bench(&FaultsBenchConfig::from_env());
             Outcome::report(b.render_text(), b.to_json())
         },
     },

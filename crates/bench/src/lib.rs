@@ -25,12 +25,8 @@
 //! * `batch` — bursty `apply_batch` traffic against every single-op
 //!   variant, bulk load, and the batch-size/compaction sweep
 //!   ([`batchbench`]);
-//! * `durability` — WAL write-path overhead under each fsync policy
-//!   ([`durabilitybench`]);
 //! * `ett` — Euler-tour-tree link/cut throughput and arena occupancy in
 //!   isolation ([`ettbench`]);
-//! * `faults` — the cost of an armed `dc_faults` schedule and the
-//!   recovery-from-poison latency ([`faultsbench`]);
 //! * `latency` — per-query latency of the interleaved bulk-read engine on
 //!   streamed huge graphs, with the one gate left in the crate
 //!   ([`latencybench`]);
@@ -39,9 +35,7 @@
 
 pub mod batchbench;
 pub mod config;
-pub mod durabilitybench;
 pub mod ettbench;
-pub mod faultsbench;
 pub mod latencybench;
 pub mod obsbench;
 pub mod report;
@@ -52,9 +46,7 @@ pub mod throughput;
 
 pub use batchbench::{run_batch_bench, BatchBaseline, BatchBenchConfig};
 pub use config::BenchConfig;
-pub use durabilitybench::{run_durability_bench, DurabilityBaseline, DurabilityBenchConfig};
 pub use ettbench::{run_ett_bench, EttBaseline, EttBenchConfig};
-pub use faultsbench::{run_faults_bench, FaultsBaseline, FaultsBenchConfig};
 pub use latencybench::{run_latency_bench, LatencyBaseline, LatencyBenchConfig};
 pub use obsbench::{run_obs_bench, ObsBaseline, ObsBenchConfig};
 pub use report::FigureData;

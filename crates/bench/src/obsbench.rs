@@ -89,7 +89,8 @@ pub struct ObsBaseline {
     pub config: ObsBenchConfig,
     /// The three mode cells, baseline first.
     pub modes: Vec<ModeCell>,
-    /// Nonzero counter totals after the enabled runs.
+    /// Nonzero counter totals over the enabled runs: each run structure's
+    /// tally plus the process cells.
     pub counters: Vec<(String, u64)>,
     /// Span histograms with at least one sample.
     pub spans: Vec<SpanCell>,
@@ -117,20 +118,31 @@ pub fn run_obs_bench(config: &ObsBenchConfig) -> ObsBaseline {
     let streams = workload.flat_per_thread();
     dc_obs::reset();
 
-    // One unmeasured warm-up run: the very first run of the process pays
-    // page faults and cold caches that none of the later cells pay.
+    // Each run's throughput, and its structure's counters (tallies count
+    // in every mode).
     let run = || {
         let structure = Variant::OurAlgorithm.build(graph.num_vertices());
-        run_streams(structure.as_ref(), &workload.preload, &streams).ops_per_ms * 1e3
+        let ops = run_streams(structure.as_ref(), &workload.preload, &streams).ops_per_ms * 1e3;
+        let tally = structure.tally().expect("an HDT-backed variant");
+        (ops, dc_obs::Counter::ALL.map(|c| tally.get(c)))
     };
+    // One unmeasured warm-up run: the very first run of the process pays
+    // page faults and cold caches that none of the later cells pay.
     run();
 
     let mut best = [0.0f64; MODES.len()];
+    let mut counted = [0u64; dc_obs::Counter::COUNT];
     for _ in 0..config.repeats.max(1) {
         for (i, &(_, metrics, tracing)) in MODES.iter().enumerate() {
             dc_obs::set_metrics_enabled(metrics);
             dc_obs::set_tracing_enabled(tracing);
-            best[i] = best[i].max(run());
+            let (ops, cells) = run();
+            best[i] = best[i].max(ops);
+            if metrics {
+                for (sum, cell) in counted.iter_mut().zip(cells) {
+                    *sum += cell;
+                }
+            }
         }
     }
     dc_obs::set_metrics_enabled(false);
@@ -147,10 +159,14 @@ pub fn run_obs_bench(config: &ObsBenchConfig) -> ObsBaseline {
         })
         .collect();
 
-    let snapshot = dc_obs::ObsSnapshot::gather();
     let counters = dc_obs::Counter::ALL
         .iter()
-        .map(|&c| (c.name().to_string(), snapshot.counter(c)))
+        .map(|&c| {
+            (
+                c.name().to_string(),
+                dc_obs::counter_value(c) + counted[c as usize],
+            )
+        })
         .filter(|(_, v)| *v > 0)
         .collect();
     let spans = dc_obs::SpanId::ALL

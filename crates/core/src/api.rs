@@ -28,12 +28,13 @@ pub trait DynamicConnectivity: Send + Sync {
     /// Number of vertices of the underlying graph.
     fn num_vertices(&self) -> usize;
 
-    /// Read-path root-hint cache counters as `(hits, misses)`, if this
-    /// implementation exposes them (see `dc_ett::hints`). `None` means the
-    /// variant has no hint-backed read path to report on; the benchmark
-    /// harness uses this to attribute hit rates per variant without
-    /// reaching through the trait object.
-    fn read_hint_counters(&self) -> Option<(u64, u64)> {
+    /// The counters of the structure behind this door (see
+    /// [`dc_obs::Tally`]), if it keeps any: HDT operations, read-path hint
+    /// hits and misses, and batch and WAL events. `None` means the variant
+    /// has no HDT to report on. A scrape loop hands it to
+    /// [`dc_obs::ObsSnapshot::gather`] without reaching through the trait
+    /// object.
+    fn tally(&self) -> Option<&dc_obs::Tally> {
         None
     }
 

@@ -133,9 +133,8 @@ impl DynamicConnectivity for CombiningVariant {
         self.hdt.num_vertices()
     }
 
-    fn read_hint_counters(&self) -> Option<(u64, u64)> {
-        let stats = self.hdt.stats();
-        Some((stats.read_hint_hits, stats.read_hint_misses))
+    fn tally(&self) -> Option<&dc_obs::Tally> {
+        Some(self.hdt.tally())
     }
 
     fn set_read_hints(&self, enabled: bool) {

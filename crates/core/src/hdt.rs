@@ -62,9 +62,9 @@ use crate::baseline::UnionFind;
 use crate::state::{EdgeState, RemovalOp, Status};
 use dc_ett::{EulerForest, Mark, NodeRef};
 use dc_graph::Edge;
+use dc_obs::{Counter, Tally};
 use dc_sync::{AdjacencyStore, ShardedMap};
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Default budget of the replacement search's sample pass: at each level it
@@ -76,22 +76,8 @@ use std::sync::{Arc, OnceLock};
 /// A budget of 0 skips the sample pass: every level promotes (DESIGN.md §15).
 pub const DEFAULT_SAMPLING_LIMIT: usize = 16;
 
-/// Operation counters backing the Table 3 / Table 4 statistics.
-#[derive(Debug, Default)]
-pub struct OpStats {
-    /// Total completed edge additions.
-    pub additions: AtomicU64,
-    /// Additions that did not change the spanning forest.
-    pub non_spanning_additions: AtomicU64,
-    /// Total completed edge removals.
-    pub removals: AtomicU64,
-    /// Removals of non-spanning edges.
-    pub non_spanning_removals: AtomicU64,
-    /// Spanning-edge removals for which a replacement edge was found.
-    pub replacements_found: AtomicU64,
-}
-
-/// A point-in-time copy of [`OpStats`].
+/// The Table 3 / Table 4 statistics of one [`Hdt`]: a point-in-time read of
+/// its [`Tally`] (see [`Hdt::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StatsSnapshot {
     /// Total completed edge additions.
@@ -104,6 +90,9 @@ pub struct StatsSnapshot {
     pub non_spanning_removals: u64,
     /// Spanning-edge removals that found a replacement.
     pub replacements_found: u64,
+    /// Replacement-search levels whose sample pass spent its budget before
+    /// its walk ended, and so fell back to promote + full scan.
+    pub sample_budgets_spent: u64,
     /// Query endpoint resolutions answered purely from the level-0
     /// root-hint cache — no tree traversal at all (a two-endpoint query
     /// contributes two counts).
@@ -246,7 +235,8 @@ pub struct Hdt {
     /// root (the representative concurrent readers observe).
     pub(crate) removal_ops: ShardedMap<NodeRef, Arc<RemovalOp>>,
     sampling_limit: usize,
-    stats: OpStats,
+    /// This structure's counters, shared with its forests and its owners.
+    tally: Arc<Tally>,
 }
 
 impl Hdt {
@@ -262,10 +252,15 @@ impl Hdt {
         let lmax = (n.max(2) as f64).log2().floor() as usize;
         let num_levels = lmax + 2; // levels 0..=lmax plus one spill level
         let levels: Vec<OnceLock<EulerForest>> = (0..num_levels).map(|_| OnceLock::new()).collect();
+        let tally = Arc::new(Tally::new());
         // Queries read the level-0 forest with no synchronization, so it is
         // the one level built eagerly.
         if levels[0]
-            .set(EulerForest::with_seed(n, Self::forest_seed(0)))
+            .set(EulerForest::with_tally(
+                n,
+                Self::forest_seed(0),
+                Arc::clone(&tally),
+            ))
             .is_err()
         {
             unreachable!("level 0 initialized twice");
@@ -278,7 +273,7 @@ impl Hdt {
             states: ShardedMap::new(),
             removal_ops: ShardedMap::new(),
             sampling_limit,
-            stats: OpStats::default(),
+            tally,
         }
     }
 
@@ -301,7 +296,9 @@ impl Hdt {
     /// read). Forests above level 0 materialize on first access.
     #[inline]
     pub fn forest(&self, level: usize) -> &EulerForest {
-        self.levels[level].get_or_init(|| EulerForest::with_seed(self.n, Self::forest_seed(level)))
+        self.levels[level].get_or_init(|| {
+            EulerForest::with_tally(self.n, Self::forest_seed(level), Arc::clone(&self.tally))
+        })
     }
 
     /// Number of level forests that have been materialized so far.
@@ -319,20 +316,25 @@ impl Hdt {
         &self.tree_adj
     }
 
-    /// Snapshot of the operation counters.
+    /// The operation counters, read from [`Hdt::tally`].
     pub fn stats(&self) -> StatsSnapshot {
-        // Read-path hint counters live in the level-0 forest (the one that
-        // answers every query).
-        let (read_hint_hits, read_hint_misses) = self.forest(0).read_hint_stats();
+        let t = &self.tally;
         StatsSnapshot {
-            additions: self.stats.additions.load(Ordering::Relaxed),
-            non_spanning_additions: self.stats.non_spanning_additions.load(Ordering::Relaxed),
-            removals: self.stats.removals.load(Ordering::Relaxed),
-            non_spanning_removals: self.stats.non_spanning_removals.load(Ordering::Relaxed),
-            replacements_found: self.stats.replacements_found.load(Ordering::Relaxed),
-            read_hint_hits,
-            read_hint_misses,
+            additions: t.get(Counter::HdtAdditions),
+            non_spanning_additions: t.get(Counter::HdtNonSpanningAdditions),
+            removals: t.get(Counter::HdtRemovals),
+            non_spanning_removals: t.get(Counter::HdtNonSpanningRemovals),
+            replacements_found: t.get(Counter::HdtReplacementsFound),
+            sample_budgets_spent: t.get(Counter::HdtSampleBudgetsSpent),
+            read_hint_hits: t.get(Counter::HintHits),
+            read_hint_misses: t.get(Counter::HintMisses),
         }
+    }
+
+    /// This structure's counters (see [`dc_obs::Tally`]), for
+    /// [`dc_obs::ObsSnapshot::gather`].
+    pub fn tally(&self) -> &Tally {
+        &self.tally
     }
 
     /// Enables or disables the level-0 root-hint read fast path (strictly
@@ -493,13 +495,9 @@ impl Hdt {
         if self.has_edge(u, v) {
             return false;
         }
-        self.stats.additions.fetch_add(1, Ordering::Relaxed);
-        dc_obs::counter_add(dc_obs::Counter::HdtAdditions, 1);
-        if self.connected_locked(u, v) {
-            self.stats
-                .non_spanning_additions
-                .fetch_add(1, Ordering::Relaxed);
-            dc_obs::counter_add(dc_obs::Counter::HdtNonSpanningAdditions, 1);
+        let non_spanning = self.connected_locked(u, v);
+        self.record_addition(non_spanning);
+        if non_spanning {
             self.add_nonspanning_info(0, edge);
             self.states
                 .insert(edge, EdgeState::new(Status::NonSpanning, 0));
@@ -532,12 +530,7 @@ impl Hdt {
             return Ok(false);
         }
         if self.connected_locked(u, v) {
-            self.stats.additions.fetch_add(1, Ordering::Relaxed);
-            dc_obs::counter_add(dc_obs::Counter::HdtAdditions, 1);
-            self.stats
-                .non_spanning_additions
-                .fetch_add(1, Ordering::Relaxed);
-            dc_obs::counter_add(dc_obs::Counter::HdtNonSpanningAdditions, 1);
+            self.record_addition(true);
             self.add_nonspanning_info(0, edge);
             self.states
                 .insert(edge, EdgeState::new(Status::NonSpanning, 0));
@@ -546,8 +539,7 @@ impl Hdt {
             // link covers the whole operation: failure leaves no partial
             // multi-level state behind.
             self.try_make_spanning_level0(edge)?;
-            self.stats.additions.fetch_add(1, Ordering::Relaxed);
-            dc_obs::counter_add(dc_obs::Counter::HdtAdditions, 1);
+            self.record_addition(false);
             self.states
                 .insert(edge, EdgeState::new(Status::Spanning, 0));
         }
@@ -566,14 +558,9 @@ impl Hdt {
             Some(st) if st.status() != Status::Initial => st,
             _ => return false,
         };
-        self.stats.removals.fetch_add(1, Ordering::Relaxed);
-        dc_obs::counter_add(dc_obs::Counter::HdtRemovals, 1);
+        self.record_removal(state.status() == Status::NonSpanning);
         match state.status() {
             Status::NonSpanning => {
-                self.stats
-                    .non_spanning_removals
-                    .fetch_add(1, Ordering::Relaxed);
-                dc_obs::counter_add(dc_obs::Counter::HdtNonSpanningRemovals, 1);
                 self.remove_nonspanning_info(state.level() as usize, edge);
                 self.states.remove(&edge);
             }
@@ -602,28 +589,21 @@ impl Hdt {
         self.removal_ops.get(&root)
     }
 
-    /// Records a completed addition in the statistics counters (used by the
-    /// non-blocking fast paths which bypass [`Hdt::add_edge_locked`]).
+    /// Records a completed addition in the statistics counters (also used
+    /// by the non-blocking fast paths, which bypass
+    /// [`Hdt::add_edge_locked`]).
     pub(crate) fn record_addition(&self, non_spanning: bool) {
-        self.stats.additions.fetch_add(1, Ordering::Relaxed);
-        dc_obs::counter_add(dc_obs::Counter::HdtAdditions, 1);
+        self.tally.add(Counter::HdtAdditions, 1);
         if non_spanning {
-            self.stats
-                .non_spanning_additions
-                .fetch_add(1, Ordering::Relaxed);
-            dc_obs::counter_add(dc_obs::Counter::HdtNonSpanningAdditions, 1);
+            self.tally.add(Counter::HdtNonSpanningAdditions, 1);
         }
     }
 
     /// Records a completed removal in the statistics counters.
     pub(crate) fn record_removal(&self, non_spanning: bool) {
-        self.stats.removals.fetch_add(1, Ordering::Relaxed);
-        dc_obs::counter_add(dc_obs::Counter::HdtRemovals, 1);
+        self.tally.add(Counter::HdtRemovals, 1);
         if non_spanning {
-            self.stats
-                .non_spanning_removals
-                .fetch_add(1, Ordering::Relaxed);
-            dc_obs::counter_add(dc_obs::Counter::HdtNonSpanningRemovals, 1);
+            self.tally.add(Counter::HdtNonSpanningRemovals, 1);
         }
     }
 
@@ -692,8 +672,8 @@ impl Hdt {
 
     /// Fallible [`Hdt::apply_compacted_batch_locked`]: additions that the
     /// forest rejects for capacity ([`Hdt::try_add_edge_locked`]) are
-    /// appended to `rejected` (and tallied on
-    /// [`dc_obs::Counter::CapacityRejections`]) instead of aborting; every
+    /// appended to `rejected` (and counted on
+    /// [`Counter::CapacityRejections`]) instead of aborting; every
     /// other update applies normally. Returns the number of updates that
     /// changed the edge set — rejected adds don't count, and the caller is
     /// expected to drop them from whatever it logs or acks downstream.
@@ -709,7 +689,7 @@ impl Hdt {
                 Ok(true) => changed += 1,
                 Ok(false) => {}
                 Err(dc_ett::ArenaExhausted) => {
-                    dc_obs::counter_add(dc_obs::Counter::CapacityRejections, 1);
+                    self.tally.add(Counter::CapacityRejections, 1);
                     rejected.push(*e);
                 }
             }
@@ -882,7 +862,7 @@ impl Hdt {
                     reserved.push(pair);
                 }
                 Err(dc_ett::ArenaExhausted) => {
-                    dc_obs::counter_add(dc_obs::Counter::CapacityRejections, 1);
+                    self.tally.add(Counter::CapacityRejections, 1);
                     rejected.push(edge);
                 }
             }
@@ -891,14 +871,9 @@ impl Hdt {
         marks.apply(self);
         forest.build_trees(&spanning, reserved);
         let added = spanning.len() + nonspanning;
-        self.stats
-            .additions
-            .fetch_add(added as u64, Ordering::Relaxed);
-        self.stats
-            .non_spanning_additions
-            .fetch_add(nonspanning as u64, Ordering::Relaxed);
-        dc_obs::counter_add(dc_obs::Counter::HdtAdditions, added as u64);
-        dc_obs::counter_add(dc_obs::Counter::HdtNonSpanningAdditions, nonspanning as u64);
+        self.tally.add(Counter::HdtAdditions, added as u64);
+        self.tally
+            .add(Counter::HdtNonSpanningAdditions, nonspanning as u64);
         added
     }
 
@@ -1108,7 +1083,7 @@ impl Hdt {
                     // The sample saw every candidate of this level: there is
                     // no replacement here, and no scan left to pay for.
                     ScanEnd::Exhausted => continue,
-                    ScanEnd::BudgetSpent => {}
+                    ScanEnd::BudgetSpent => self.tally.add(Counter::HdtSampleBudgetsSpent, 1),
                 }
             }
             // 2. Promote exact-level spanning edges of the smaller side.
@@ -1130,10 +1105,7 @@ impl Hdt {
 
         match replacement {
             Some((found, lvl)) => {
-                self.stats
-                    .replacements_found
-                    .fetch_add(1, Ordering::Relaxed);
-                dc_obs::counter_add(dc_obs::Counter::HdtReplacementsFound, 1);
+                self.tally.add(Counter::HdtReplacementsFound, 1);
                 // The scan already moved the edge's state to `Spanning(lvl)`.
                 self.remove_nonspanning_info(lvl, found);
                 let (fu, fv) = found.endpoints();
@@ -1475,6 +1447,7 @@ mod tests {
             !hdt.forest(1).hints_materialized(),
             "upper-level forests are never queried, so they must not pay the hint table"
         );
+        assert_eq!(hdt.stats().sample_budgets_spent, 0, "no sample pass ran");
         hdt.validate();
     }
 
@@ -1509,6 +1482,7 @@ mod tests {
             1,
             "a sample that saw every candidate must not promote"
         );
+        assert_eq!(hdt.stats().sample_budgets_spent, 0);
         hdt.validate();
     }
 
@@ -1524,6 +1498,7 @@ mod tests {
             hdt.materialized_forest_levels() > 1,
             "a spent budget must fall back to promotion"
         );
+        assert!(hdt.stats().sample_budgets_spent >= 1);
         hdt.validate();
     }
 
@@ -1661,6 +1636,39 @@ mod tests {
         assert_eq!(stats.non_spanning_removals, 1);
         assert!((stats.non_spanning_addition_rate() - 100.0 / 3.0).abs() < 1e-9);
         assert!((stats.non_spanning_removal_rate() - 50.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn two_structures_export_separate_series() {
+        let (a, b) = (Hdt::new(8), Hdt::new(8));
+        a.add_edge_locked(0, 1);
+        a.add_edge_locked(1, 2);
+        a.add_edge_locked(0, 2);
+        a.remove_edge_locked(0, 1);
+        b.add_edge_locked(3, 4);
+        assert!(a.connected(0, 2) && !b.connected(0, 2));
+        let snap = dc_obs::ObsSnapshot::gather(&[("a", a.tally()), ("b", b.tally())]);
+        let text = snap.to_prometheus();
+        for (label, hdt) in [("a", &a), ("b", &b)] {
+            let stats = hdt.stats();
+            for (c, value) in [
+                (Counter::HdtAdditions, stats.additions),
+                (
+                    Counter::HdtNonSpanningAdditions,
+                    stats.non_spanning_additions,
+                ),
+                (Counter::HdtRemovals, stats.removals),
+                (Counter::HdtReplacementsFound, stats.replacements_found),
+                (Counter::HintHits, stats.read_hint_hits),
+                (Counter::HintMisses, stats.read_hint_misses),
+            ] {
+                let series = format!("dc_{}_total{{instance=\"{label}\"}} {value}\n", c.name());
+                assert!(text.contains(&series), "missing {series:?} in\n{text}");
+            }
+        }
+        assert_eq!((a.stats().additions, b.stats().additions), (3, 1));
+        assert_eq!(snap.counter(Counter::HdtAdditions), 4);
+        assert_eq!(snap.counter(Counter::HintMisses), 4);
     }
 
     #[test]

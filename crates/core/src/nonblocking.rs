@@ -180,9 +180,8 @@ impl<L: UpdateLocking> DynamicConnectivity for NonBlockingVariant<L> {
         self.hdt.num_vertices()
     }
 
-    fn read_hint_counters(&self) -> Option<(u64, u64)> {
-        let stats = self.hdt.stats();
-        Some((stats.read_hint_hits, stats.read_hint_misses))
+    fn tally(&self) -> Option<&dc_obs::Tally> {
+        Some(self.hdt.tally())
     }
 
     fn set_read_hints(&self, enabled: bool) {

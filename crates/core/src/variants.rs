@@ -68,9 +68,8 @@ impl<L: UpdateLocking> DynamicConnectivity for LockedVariant<L> {
         self.hdt.num_vertices()
     }
 
-    fn read_hint_counters(&self) -> Option<(u64, u64)> {
-        let stats = self.hdt.stats();
-        Some((stats.read_hint_hits, stats.read_hint_misses))
+    fn tally(&self) -> Option<&dc_obs::Tally> {
+        Some(self.hdt.tally())
     }
 
     fn set_read_hints(&self, enabled: bool) {
@@ -122,9 +121,8 @@ impl DynamicConnectivity for CoarseRwVariant {
         self.hdt.num_vertices()
     }
 
-    fn read_hint_counters(&self) -> Option<(u64, u64)> {
-        let stats = self.hdt.stats();
-        Some((stats.read_hint_hits, stats.read_hint_misses))
+    fn tally(&self) -> Option<&dc_obs::Tally> {
+        Some(self.hdt.tally())
     }
 
     fn set_read_hints(&self, enabled: bool) {
@@ -182,9 +180,8 @@ impl DynamicConnectivity for FineRwVariant {
         self.hdt.num_vertices()
     }
 
-    fn read_hint_counters(&self) -> Option<(u64, u64)> {
-        let stats = self.hdt.stats();
-        Some((stats.read_hint_hits, stats.read_hint_misses))
+    fn tally(&self) -> Option<&dc_obs::Tally> {
+        Some(self.hdt.tally())
     }
 
     fn set_read_hints(&self, enabled: bool) {

@@ -36,6 +36,7 @@ use crate::error::{DurableError, RecoveryReport};
 use crate::fault::{DurableFs, RealFs};
 use crate::wal::{self, SegmentWriter};
 use dc_batch::BatchEngine;
+use dc_obs::{Counter, Tally};
 use dynconn::{BatchConnectivity, BatchOp, DynamicConnectivity, Hdt, QueryResult};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -126,14 +127,15 @@ impl WalShared {
         }
         let seq = inner.last_seq + 1;
         let bytes = wal::encode_batch(seq, adds, removes);
-        if self.append_locked(&mut inner, &bytes).is_err() {
+        let tally = hdt.tally();
+        if self.append_locked(&mut inner, &bytes, tally).is_err() {
             Self::poison(&mut inner, "wal-append-failed");
             return;
         }
         inner.last_seq = seq;
         inner.batches_since_checkpoint += 1;
-        dc_obs::counter_add(dc_obs::Counter::WalBatches, 1);
-        dc_obs::counter_add(dc_obs::Counter::WalBytes, bytes.len() as u64);
+        tally.add(Counter::WalBatches, 1);
+        tally.add(Counter::WalBytes, bytes.len() as u64);
         dc_obs::event(dc_obs::EventKind::WalCommit, seq, bytes.len() as u64);
         let auto_checkpoint = self.opts.checkpoint_interval > 0
             && inner.batches_since_checkpoint >= self.opts.checkpoint_interval;
@@ -148,27 +150,28 @@ impl WalShared {
             .segment
             .as_ref()
             .is_some_and(|s| s.bytes_written >= self.opts.segment_max_bytes);
-        if over_size && self.roll_segment_locked(&mut inner).is_err() {
+        if over_size && self.roll_segment_locked(&mut inner, tally).is_err() {
             Self::poison(&mut inner, "segment-roll-failed");
         }
     }
 
-    /// One policy-driven or forced sync, span-profiled and counted.
-    fn timed_sync(segment: &mut SegmentWriter) -> io::Result<()> {
+    /// One policy-driven or forced sync, span-profiled and counted in the
+    /// store's `tally`.
+    fn timed_sync(segment: &mut SegmentWriter, tally: &Tally) -> io::Result<()> {
         let _span = dc_obs::span(dc_obs::SpanId::WalFsync);
-        dc_obs::counter_add(dc_obs::Counter::WalFsyncs, 1);
+        tally.add(Counter::WalFsyncs, 1);
         segment.sync()
     }
 
-    fn append_locked(&self, inner: &mut WalInner, bytes: &[u8]) -> io::Result<()> {
+    fn append_locked(&self, inner: &mut WalInner, bytes: &[u8], tally: &Tally) -> io::Result<()> {
         let segment = inner.segment.as_mut().expect("open segment");
         segment.append(bytes)?;
         match self.opts.fsync {
-            FsyncPolicy::Always => Self::timed_sync(segment)?,
+            FsyncPolicy::Always => Self::timed_sync(segment, tally)?,
             FsyncPolicy::EveryN(n) => {
                 inner.batches_since_sync += 1;
                 if inner.batches_since_sync >= n.max(1) {
-                    Self::timed_sync(segment)?;
+                    Self::timed_sync(segment, tally)?;
                     inner.batches_since_sync = 0;
                 }
             }
@@ -186,9 +189,9 @@ impl WalShared {
             let _span = dc_obs::span(dc_obs::SpanId::CheckpointWrite);
             checkpoint::write_checkpoint(self.fs.as_ref(), &self.dir, hdt, covered)?;
         }
-        dc_obs::counter_add(dc_obs::Counter::Checkpoints, 1);
+        hdt.tally().add(Counter::Checkpoints, 1);
         dc_obs::event(dc_obs::EventKind::Checkpoint, covered, 0);
-        self.roll_segment_locked(inner)?;
+        self.roll_segment_locked(inner, hdt.tally())?;
         inner.batches_since_checkpoint = 0;
         if self.opts.prune_segments {
             let current = inner.segment.as_ref().expect("open segment").index;
@@ -205,13 +208,13 @@ impl WalShared {
         Ok(covered)
     }
 
-    fn roll_segment_locked(&self, inner: &mut WalInner) -> io::Result<()> {
+    fn roll_segment_locked(&self, inner: &mut WalInner, tally: &Tally) -> io::Result<()> {
         // Make what the old segment claims durable before abandoning it, so
         // a crash right after the roll cannot lose pre-roll batches that a
         // lazy fsync policy had not yet flushed.
         if let Some(segment) = inner.segment.as_mut() {
             if self.opts.fsync != FsyncPolicy::Off {
-                Self::timed_sync(segment)?;
+                Self::timed_sync(segment, tally)?;
             }
         }
         let next_index = inner
@@ -229,7 +232,7 @@ impl WalShared {
         )?;
         inner.segment = Some(segment);
         inner.batches_since_sync = 0;
-        dc_obs::counter_add(dc_obs::Counter::WalSegmentRolls, 1);
+        tally.add(Counter::WalSegmentRolls, 1);
         dc_obs::event(dc_obs::EventKind::WalSegmentRoll, next_index, 0);
         Ok(())
     }
@@ -505,7 +508,10 @@ impl DurableConnectivity {
         if inner.poisoned {
             return Err(DurableError::Poisoned);
         }
-        let result = WalShared::timed_sync(inner.segment.as_mut().expect("open segment"));
+        let result = WalShared::timed_sync(
+            inner.segment.as_mut().expect("open segment"),
+            self.engine.hdt().tally(),
+        );
         match result {
             Ok(()) => {
                 inner.batches_since_sync = 0;
@@ -552,17 +558,14 @@ impl DurableConnectivity {
         {
             let mut inner = self.wal.inner.lock().unwrap();
             if let Some(segment) = inner.segment.as_mut() {
-                let _ = WalShared::timed_sync(segment);
+                let _ = WalShared::timed_sync(segment, self.engine.hdt().tally());
             }
             // Close the segment writer before recovery re-reads (and
             // possibly truncates) the files it wrote.
             inner.segment = None;
         }
         drop(self);
-        let recovered = Self::recover_with_fs(dir, opts, fs)?;
-        // The poison condition is gone with the old engine.
-        dc_obs::gauge_set(dc_obs::Gauge::EnginePoisoned, 0);
-        Ok(recovered)
+        Self::recover_with_fs(dir, opts, fs)
     }
 }
 
@@ -583,8 +586,8 @@ impl DynamicConnectivity for DurableConnectivity {
         self.engine.num_vertices()
     }
 
-    fn read_hint_counters(&self) -> Option<(u64, u64)> {
-        self.engine.read_hint_counters()
+    fn tally(&self) -> Option<&Tally> {
+        self.engine.tally()
     }
 
     fn set_read_hints(&self, enabled: bool) {

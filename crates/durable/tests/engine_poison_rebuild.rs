@@ -16,7 +16,8 @@
 use dc_batch::EngineError;
 use dc_durable::{DurableConnectivity, DurableOptions, FsyncPolicy};
 use dc_faults::{ChaosConfig, ChaosSchedule, InjectionPoint};
-use dynconn::{DynamicConnectivity, RecomputeOracle};
+use dc_obs::{Counter, Gauge, ObsSnapshot};
+use dynconn::{BatchOp, DynamicConnectivity, RecomputeOracle};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -145,4 +146,63 @@ fn rebuilt_store_keeps_working_and_logging() {
     again.engine().hdt().validate();
     assert!(again.connected(15, 16));
     assert!(again.connected(0, 11));
+}
+
+/// The `engine_poisoned` gauge a snapshot of stores `a` and `b` reports.
+fn poisoned_gauge(a: &DurableConnectivity, b: &DurableConnectivity) -> u64 {
+    ObsSnapshot::gather(&[
+        ("a", a.engine().hdt().tally()),
+        ("b", b.engine().hdt().tally()),
+    ])
+    .gauge(Gauge::EnginePoisoned)
+}
+
+#[test]
+fn rebuilding_one_store_keeps_another_stores_poison_reported() {
+    let a = DurableConnectivity::create(test_dir("gauge-a"), N as usize, opts()).unwrap();
+    let b = DurableConnectivity::create(test_dir("gauge-b"), N as usize, opts()).unwrap();
+    a.add_edge(0, 1);
+    b.add_edge(0, 1);
+    a.engine()
+        .attach_chaos(one_shot(InjectionPoint::LeaderPanicBeforeApply));
+    assert_eq!(
+        a.engine().try_apply_batch(&[BatchOp::Add(2, 3)]),
+        Err(EngineError::Poisoned)
+    );
+    assert_eq!(poisoned_gauge(&a, &b), 1);
+    let (b, _) = b.rebuild().unwrap();
+    assert_eq!(poisoned_gauge(&a, &b), 1, "a is still poisoned");
+    let (a, _) = a.rebuild().unwrap();
+    assert_eq!(poisoned_gauge(&a, &b), 0);
+}
+
+#[test]
+fn two_stores_export_separate_series() {
+    let a = DurableConnectivity::create(test_dir("series-a"), N as usize, opts()).unwrap();
+    let b = DurableConnectivity::create(test_dir("series-b"), N as usize, opts()).unwrap();
+    for u in 0..5 {
+        a.add_edge(u, u + 1);
+    }
+    b.add_edge(0, 1);
+    a.checkpoint().unwrap();
+    let snap = ObsSnapshot::gather(&[
+        ("a", a.engine().hdt().tally()),
+        ("b", b.engine().hdt().tally()),
+    ]);
+    let text = snap.to_prometheus();
+    for (label, store, checkpoints) in [("a", &a, 1), ("b", &b, 0)] {
+        let hdt = store.engine().hdt().stats();
+        let engine = store.engine().stats();
+        for (c, value) in [
+            (Counter::HdtAdditions, hdt.additions),
+            (Counter::BatchesDrained, engine.batches),
+            (Counter::BatchUpdatesApplied, engine.applied_updates),
+            (Counter::WalBatches, store.last_seq()),
+            (Counter::Checkpoints, checkpoints),
+        ] {
+            let series = format!("dc_{}_total{{instance=\"{label}\"}} {value}\n", c.name());
+            assert!(text.contains(&series), "missing {series:?} in\n{text}");
+        }
+    }
+    assert_eq!(snap.counter(Counter::WalBatches), 6);
 }

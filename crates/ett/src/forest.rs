@@ -59,12 +59,13 @@
 use crate::arena::{Arena, ArenaExhausted, NodeRef};
 use crate::hints::HintCache;
 use crate::node::{Mark, Node};
+use dc_obs::{Counter, Tally};
 use dc_sync::epoch::EpochGuard;
 use dc_sync::{RawRwLock, ShardedMap};
 use std::cell::Cell;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Upper bound on the interleaved read engine's in-flight climb count (the
 /// per-group state array lives on the stack, so the cap keeps it small).
@@ -244,6 +245,8 @@ pub struct EulerForest {
     /// cache so `set_read_hints(false)` on a never-queried forest stays
     /// allocation-free.
     hints_off: AtomicBool,
+    /// Where hint hits, misses and invalidations are counted.
+    tally: Arc<Tally>,
     /// In-flight climb count of the interleaved engine, clamped to
     /// `1..=MAX_INTERLEAVE_WIDTH`.
     interleave_width: AtomicU8,
@@ -259,6 +262,13 @@ impl EulerForest {
     /// Creates a forest of `n` isolated vertices with an explicit priority
     /// seed (useful for deterministic tests).
     pub fn with_seed(n: usize, seed: u64) -> Self {
+        Self::with_tally(n, seed, Arc::default())
+    }
+
+    /// [`EulerForest::with_seed`], counting hint events into `tally`: an
+    /// HDT hands its forests its own tally, so a structure's counters are
+    /// one series.
+    pub fn with_tally(n: usize, seed: u64, tally: Arc<Tally>) -> Self {
         let forest = EulerForest {
             arena: Arena::new(),
             edge_nodes: ShardedMap::new(),
@@ -266,6 +276,7 @@ impl EulerForest {
             locks: OnceLock::new(),
             hints: OnceLock::new(),
             hints_off: AtomicBool::new(false),
+            tally,
             interleave_width: AtomicU8::new(DEFAULT_INTERLEAVE_WIDTH as u8),
             prio_state: AtomicU64::new(seed | 1),
         };
@@ -407,7 +418,7 @@ impl EulerForest {
         // whose hint table was never built (every upper level, and a level 0
         // that has served no query) holds no hint to invalidate.
         if self.hints_materialized() {
-            dc_obs::counter_add(dc_obs::Counter::HintInvalidations, 1);
+            self.tally.add(Counter::HintInvalidations, 1);
             dc_obs::event(dc_obs::EventKind::HintInvalidation, root as u64, version);
         }
     }
@@ -661,12 +672,12 @@ impl EulerForest {
         // clobbered by mistake.
         let hints = self.hints_enabled().then(|| self.hints());
         let observed = hints.map(|h| h.raw(v));
-        if let (Some(hints), Some(observed)) = (hints, observed) {
+        if let Some(observed) = observed {
             if let Some((root, version)) = self.validate_hint(observed) {
-                hints.record_hit();
+                self.tally.add(Counter::HintHits, 1);
                 return (root, version);
             }
-            hints.record_miss();
+            self.tally.add(Counter::HintMisses, 1);
         }
         loop {
             let (r, version) = self.find_root_walk(v);
@@ -829,8 +840,9 @@ impl EulerForest {
                 None => scratch.pending.push(i as u32),
             }
         }
-        cache.record_hits_n(hits);
-        cache.record_misses_n(scratch.pending.len() as u64);
+        self.tally.add(Counter::HintHits, hits);
+        self.tally
+            .add(Counter::HintMisses, scratch.pending.len() as u64);
     }
 
     /// Stage 2 of the interleaved engine: resolves every pending endpoint by
@@ -994,11 +1006,17 @@ impl EulerForest {
     /// resolution*. A hit resolved an endpoint's root purely from a
     /// validated hint; a miss fell back to the double-walk climb (and
     /// reinstalled the hint). A two-endpoint query contributes two counts.
+    /// Read from [`EulerForest::tally`].
     pub fn read_hint_stats(&self) -> (u64, u64) {
-        match self.hints.get() {
-            Some(hints) => (hints.hits(), hints.misses()),
-            None => (0, 0),
-        }
+        (
+            self.tally.get(Counter::HintHits),
+            self.tally.get(Counter::HintMisses),
+        )
+    }
+
+    /// The tally this forest counts its hint events into.
+    pub fn tally(&self) -> &Tally {
+        &self.tally
     }
 
     /// Enables or disables the root-hint fast path on this forest (both
@@ -1992,5 +2010,36 @@ mod tests {
             let (_, version) = f.find_root(v);
             assert!(!is_busy(version), "vertex {v}: root left busy");
         }
+    }
+
+    /// `Counter::HintInvalidations` counts only invalidations of hints that
+    /// can exist: a forest whose hint table was never built (every upper HDT
+    /// level, and a level 0 that has served no query) records none, however
+    /// many links and cuts it takes.
+    #[test]
+    fn only_forests_with_a_hint_table_count_invalidations() {
+        let churn = |f: &EulerForest| {
+            for v in 1..8 {
+                f.link(v - 1, v);
+            }
+            for v in 1..8 {
+                f.cut(v - 1, v);
+            }
+        };
+        let f = EulerForest::with_seed(8, 0);
+        churn(&f);
+        assert!(!f.hints_materialized());
+        assert_eq!(
+            f.tally().get(Counter::HintInvalidations),
+            0,
+            "a forest that never served a query holds no hint to invalidate"
+        );
+        assert!(!f.connected(0, 7));
+        assert!(f.hints_materialized());
+        churn(&f);
+        assert!(
+            f.tally().get(Counter::HintInvalidations) > 0,
+            "links and cuts on a queried forest invalidate its hints"
+        );
     }
 }

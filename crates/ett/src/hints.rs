@@ -33,14 +33,11 @@
 //! CAS-filled — a reader only replaces the exact value it observed, so a
 //! slow reader cannot clobber a fresher hint installed while it climbed.
 //!
-//! Hit/miss counters are striped across padded cache lines (readers on
-//! different threads must not serialize on a shared counter word) and are
-//! surfaced per-structure through `dynconn::StatsSnapshot`.
+//! The cache holds no counters: the forest counts hits, misses and
+//! invalidations in its `dc_obs::Tally` (the owning `Hdt`'s, for a level-0
+//! forest), which `dynconn::StatsSnapshot` reads.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-
-/// Number of padded counter stripes (power of two; threads hash onto them).
-const COUNTER_STRIPES: usize = 16;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Empty-slot sentinel. A valid encoding can only collide with it for
 /// `root_vertex == u32::MAX` *and* `version ≡ u32::MAX (mod 2³²)`; installs
@@ -48,28 +45,9 @@ const COUNTER_STRIPES: usize = 16;
 /// climbing — correctness is unaffected).
 const EMPTY: u64 = u64::MAX;
 
-static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// The calling thread's counter stripe, assigned round-robin on first
-    /// use so bench worker pools spread evenly.
-    static STRIPE: usize =
-        NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) & (COUNTER_STRIPES - 1);
-}
-
-/// A padded counter stripe: hit and miss words sharing one 128-byte line,
-/// but no line with any *other* stripe (or with the hint slots).
-#[repr(align(128))]
-#[derive(Default)]
-struct CounterStripe {
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
 /// The per-vertex root-hint table; see the module documentation.
 pub struct HintCache {
     slots: Box<[AtomicU64]>,
-    counters: Box<[CounterStripe]>,
     enabled: AtomicBool,
 }
 
@@ -78,9 +56,6 @@ impl HintCache {
     pub fn new(n: usize) -> Self {
         HintCache {
             slots: (0..n).map(|_| AtomicU64::new(EMPTY)).collect(),
-            counters: (0..COUNTER_STRIPES)
-                .map(|_| CounterStripe::default())
-                .collect(),
             enabled: AtomicBool::new(true),
         }
     }
@@ -147,53 +122,6 @@ impl HintCache {
             dc_sync::prefetch_read(slot as *const AtomicU64);
         }
     }
-
-    /// Records an endpoint resolution answered from a validated hint.
-    #[inline]
-    pub fn record_hit(&self) {
-        self.record_hits_n(1);
-    }
-
-    /// Records an endpoint resolution that fell back to a climb.
-    #[inline]
-    pub fn record_miss(&self) {
-        self.record_misses_n(1);
-    }
-
-    /// Records `n` hint hits at once (the bulk validation pass counts a
-    /// whole run with one thread-local lookup and one atomic add).
-    #[inline]
-    pub fn record_hits_n(&self, n: u64) {
-        if n > 0 {
-            STRIPE.with(|&s| self.counters[s].hits.fetch_add(n, Ordering::Relaxed));
-            dc_obs::counter_add(dc_obs::Counter::HintHits, n);
-        }
-    }
-
-    /// Records `n` hint misses at once (see [`HintCache::record_hits_n`]).
-    #[inline]
-    pub fn record_misses_n(&self, n: u64) {
-        if n > 0 {
-            STRIPE.with(|&s| self.counters[s].misses.fetch_add(n, Ordering::Relaxed));
-            dc_obs::counter_add(dc_obs::Counter::HintMisses, n);
-        }
-    }
-
-    /// Total endpoint resolutions answered from validated hints.
-    pub fn hits(&self) -> u64 {
-        self.counters
-            .iter()
-            .map(|c| c.hits.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Total endpoint resolutions that fell back to a climb.
-    pub fn misses(&self) -> u64 {
-        self.counters
-            .iter()
-            .map(|c| c.misses.load(Ordering::Relaxed))
-            .sum()
-    }
 }
 
 impl std::fmt::Debug for HintCache {
@@ -201,8 +129,6 @@ impl std::fmt::Debug for HintCache {
         f.debug_struct("HintCache")
             .field("vertices", &self.slots.len())
             .field("enabled", &self.is_enabled())
-            .field("hits", &self.hits())
-            .field("misses", &self.misses())
             .finish()
     }
 }
@@ -245,20 +171,5 @@ mod tests {
         let cache = HintCache::new(1);
         cache.install(0, cache.raw(0), u32::MAX, u64::from(u32::MAX));
         assert_eq!(HintCache::decode(cache.raw(0)), None);
-    }
-
-    #[test]
-    fn counters_accumulate_across_stripes() {
-        let cache = HintCache::new(1);
-        cache.record_hit();
-        cache.record_hit();
-        cache.record_miss();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| cache.record_hit());
-            }
-        });
-        assert_eq!(cache.hits(), 6);
-        assert_eq!(cache.misses(), 1);
     }
 }

@@ -1,17 +1,18 @@
-//! `dc_obs` — the observability layer: unified metrics registry, lock-free
-//! flight recorder, and sampled hot-path span profiling.
+//! `dc_obs` — the observability layer: per-structure counter tallies, the
+//! process metrics registry, lock-free flight recorder, and sampled
+//! hot-path span profiling.
 //!
-//! The paper's headline plots (Figures 7/8/11/12, the *active time rate*)
-//! are observability artifacts; this crate is where the repo's previously
-//! scattered telemetry (global `dc_sync::waitstats`, per-`Hdt` stats,
-//! striped hint counters, bench-only histograms) converges so a *running*
-//! instance can be observed outside the bench harness. Three pillars:
+//! The paper's evaluation reads statistics of one structure (the
+//! non-spanning shares of Tables 3/4, the hint hit rate, the *active time
+//! rate*); this crate is where that telemetry lives so a *running* instance
+//! can be observed outside the bench harness. Three pillars:
 //!
-//! * [`metrics`] — typed, cache-line-striped counters, gauges and
-//!   latency histograms behind one process-wide enable flag. Disabled
-//!   cost is one relaxed load per recording site (the
-//!   `waitstats::enabled()` discipline); everything is static, so
-//!   enabling allocates nothing.
+//! * [`metrics`] — typed counters, one cell per event. An event that belongs
+//!   to a structure is counted in that structure's [`Tally`] (cache-line
+//!   striped, always on); the few with no owner, and the gauges and span
+//!   histograms, live in static process cells behind one process-wide
+//!   enable flag, whose disabled cost is one relaxed load per recording
+//!   site. Enabling allocates nothing.
 //! * [`flight`] — per-thread fixed-capacity lock-free ring buffers of
 //!   compact varint-encoded structural events (links, cuts, replacement
 //!   searches, batch flushes, WAL commits, checkpoints, recovery steps),
@@ -21,9 +22,10 @@
 //!   (replacement search, treap merge/split, batch flush, fsync,
 //!   interleaved climb groups) feeding the registry histograms.
 //!
-//! [`ObsSnapshot`] gathers everything coherently and exports
-//! Prometheus-style text or JSON. The event taxonomy, memory bounds and
-//! the relaxed-ordering safety argument live in `DESIGN.md` §11.
+//! [`ObsSnapshot::gather`] reads the process cells and the tallies it is
+//! handed, and exports Prometheus-style text (one labelled series per
+//! tally) or JSON. The event taxonomy, memory bounds and the
+//! relaxed-ordering safety argument live in `DESIGN.md` §11.
 //!
 //! This crate sits just above `dc-sync` so every structural crate
 //! (`dc-ett`, `dynconn`, `dc-batch`, `dc-durable`) can record into it;
@@ -41,7 +43,7 @@ pub use histogram::LatencyHistogram;
 pub use metrics::{
     counter_add, counter_value, gauge_set, gauge_value, metrics_enabled, reset,
     set_metrics_enabled, set_tracing_enabled, span_record, span_snapshot, tracing_enabled, Counter,
-    Gauge, SpanId,
+    Gauge, SpanId, Tally,
 };
 pub use snapshot::ObsSnapshot;
 pub use span::{span, Span, SPAN_SAMPLE_EVERY};

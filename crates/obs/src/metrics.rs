@@ -1,33 +1,21 @@
-//! The unified metrics registry: typed counters, gauges and latency
-//! histograms behind one pair of process-wide enable flags.
+//! Typed counters, gauges and latency histograms, one cell per event.
 //!
-//! Seven PRs grew four disconnected telemetry mechanisms (global
-//! `dc_sync::waitstats`, per-`Hdt` `StatsSnapshot`, striped hint-hit
-//! counters, bench-only latency histograms). This registry is the one
-//! place they all surface: instrumented crates *mirror* their existing
-//! per-instance counters here (the per-instance APIs stay — they are the
-//! compatibility shims), and [`crate::ObsSnapshot`] reads everything back
-//! coherently.
+//! An event that belongs to a structure (an HDT update, a hint hit, a
+//! drained batch, a WAL append) is counted in that structure's [`Tally`],
+//! always on: it is what `dynconn::StatsSnapshot` and `dc_batch::BatchStats`
+//! read. The few events with no owning structure go to the process cells
+//! through [`counter_add`], behind the process-wide metrics flag with the
+//! gauges and span histograms: off (the default), each such call is one
+//! relaxed load and a branch. Nothing here allocates when enabled.
 //!
-//! **Disabled cost.** The design constraint is the same as
-//! `dc_sync::waitstats::enabled()`: when metrics are off (the default),
-//! every recording call is one relaxed atomic load and a predictable
-//! branch — no allocation, no store, no fence. The registry is entirely
-//! static (striped counter cells, gauge words, atomic-bucket histograms),
-//! so enabling it allocates nothing either.
+//! **Ordering.** All cells are `Relaxed`: monotone tallies read at quiescent
+//! points, carrying no happens-before obligation any safety argument leans
+//! on (`DESIGN.md` §11).
 //!
-//! **Ordering.** All cells are `Relaxed`. Metrics are monotone
-//! per-thread tallies read at quiescent points (snapshot after a join, a
-//! scrape loop); they carry no happens-before obligations, and no safety
-//! argument in `DESIGN.md` §3/§8 leans on them — see `DESIGN.md` §11.
-//!
-//! **Striping.** Counter increments from different threads must not
-//! serialize on one cache line, so counters are striped across
-//! `COUNTER_STRIPES` (16) 128-byte-aligned blocks with threads assigned
-//! round-robin on first use (the `dc_ett::hints` counter idiom). Gauges
-//! are last-write-wins single words; histograms are shared atomic-bucket
-//! tables fed by *sampled* spans (1-in-16), so their contention is already
-//! bounded.
+//! **Striping.** A tally holds `COUNTER_STRIPES` 128-byte-aligned copies of
+//! its cells, and each thread adds into the copy its round-robin ticket
+//! names, so adds from different threads do not share a line. Gauges are
+//! last-write-wins words; histograms are fed by 1-in-16 sampled spans.
 
 use crate::histogram::{LatencyHistogram, LATENCY_BUCKETS};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -38,14 +26,15 @@ const COUNTER_STRIPES: usize = 16;
 static METRICS_ENABLED: AtomicBool = AtomicBool::new(false);
 static TRACING_ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Enables or disables metric recording (counters, gauges, span
-/// histograms). Off by default; flipping it is a plain relaxed store.
+/// Enables or disables metric recording into the process cells (process
+/// counters, gauges, span histograms). Off by default; flipping it is a
+/// plain relaxed store. Tallies ignore it.
 pub fn set_metrics_enabled(enabled: bool) {
     METRICS_ENABLED.store(enabled, Ordering::Relaxed);
 }
 
 /// Returns `true` if metric recording is enabled — the one load every
-/// instrumentation site pays when disabled.
+/// process-level recording site pays when disabled.
 #[inline]
 pub fn metrics_enabled() -> bool {
     METRICS_ENABLED.load(Ordering::Relaxed)
@@ -100,10 +89,10 @@ macro_rules! metric_enum {
 
 metric_enum! {
     /// Monotone event tallies. Names are the Prometheus metric stems
-    /// (exported as `dc_<name>_total`).
+    /// (exported as `dc_<name>_total`). All but the last four are counted
+    /// per structure, in a [`Tally`] (see [`Counter::is_process_level`]).
     pub enum Counter {
-        /// Edge additions applied (spanning or not) — mirrors
-        /// `dynconn::StatsSnapshot::additions` across all instances.
+        /// Edge additions applied (spanning or not).
         HdtAdditions => "hdt_additions",
         /// Additions that closed a cycle (left the forest unchanged).
         HdtNonSpanningAdditions => "hdt_non_spanning_additions",
@@ -113,21 +102,40 @@ metric_enum! {
         HdtNonSpanningRemovals => "hdt_non_spanning_removals",
         /// Replacement searches that found a substitute edge.
         HdtReplacementsFound => "hdt_replacements_found",
+        /// Replacement-search levels whose sample pass spent its budget
+        /// before its walk ended, and so fell back to promote + full scan
+        /// (DESIGN.md §15).
+        HdtSampleBudgetsSpent => "hdt_sample_budgets_spent",
         /// Read resolutions answered from a validated root hint.
         HintHits => "hint_hits",
         /// Read resolutions that fell back to a parent-pointer climb.
         HintMisses => "hint_misses",
-        /// Root-version bumps (each invalidates that root's outstanding
-        /// hints — DESIGN.md §8).
+        /// Root-version bumps on a forest that holds hints (each invalidates
+        /// that root's outstanding hints — DESIGN.md §8).
         HintInvalidations => "hint_invalidations",
-        /// Epoch-reclamation collection passes over an ETT arena.
-        EpochCollects => "epoch_collects",
-        /// Arena nodes recycled by those passes.
-        EpochNodesReclaimed => "epoch_nodes_reclaimed",
-        /// Batches drained by a `dc_batch` leader.
+        /// Update batches drained from the intake by a `dc_batch` leader.
         BatchesDrained => "batches_drained",
+        /// Batches applied through the bulk door.
+        BatchBulkBatches => "batch_bulk_batches",
+        /// Updates submitted to a batch engine (before preprocessing).
+        BatchSubmittedUpdates => "batch_submitted_updates",
         /// Structural updates applied by batch flushes (post-annihilation).
         BatchUpdatesApplied => "batch_updates_applied",
+        /// Queries submitted through the bulk door.
+        BatchSubmittedQueries => "batch_submitted_queries",
+        /// Duplicate bulk-door queries answered by one shared read.
+        BatchCoalescedQueries => "batch_coalesced_queries",
+        /// Adapter updates whose first try for the leader lock failed: they
+        /// queued behind another caller's batch.
+        BatchQueuedUpdates => "batch_queued_updates",
+        /// Additions rejected with a typed capacity error (arena exhaustion
+        /// surfaced through `try_link` instead of an abort).
+        CapacityRejections => "capacity_rejections",
+        /// Batch engines poisoned by a leader panic (DESIGN.md §13).
+        EnginePoisons => "engine_poisons",
+        /// Bounded waits that expired before their condition held
+        /// (`EngineError::Timeout` returned to a caller).
+        WaitTimeouts => "wait_timeouts",
         /// Batch records group-committed to the WAL.
         WalBatches => "wal_batches",
         /// Bytes appended to the WAL (records + commit markers).
@@ -138,19 +146,24 @@ metric_enum! {
         WalSegmentRolls => "wal_segment_rolls",
         /// Checkpoints written.
         Checkpoints => "checkpoints",
-        /// Batch engines poisoned by a leader panic (DESIGN.md §13).
-        EnginePoisons => "engine_poisons",
-        /// Bounded waits that expired before their condition held
-        /// (`EngineError::Timeout` returned to a caller).
-        WaitTimeouts => "wait_timeouts",
+        /// Epoch-reclamation collection passes over an ETT arena.
+        EpochCollects => "epoch_collects",
+        /// Arena nodes recycled by those passes.
+        EpochNodesReclaimed => "epoch_nodes_reclaimed",
         /// Stall conditions flagged by a watchdog probe (stuck leader,
         /// stalled epoch advance).
         WatchdogStalls => "watchdog_stalls",
         /// Chaos-schedule injection points that actually fired.
         ChaosInjections => "chaos_injections",
-        /// Operations rejected with a typed capacity error (arena
-        /// exhaustion surfaced through `try_link` instead of an abort).
-        CapacityRejections => "capacity_rejections",
+    }
+}
+
+impl Counter {
+    /// Whether `self` has no owning structure and is counted in the process
+    /// cells ([`counter_add`], behind the metrics flag) rather than in a
+    /// [`Tally`]. Those counters are declared last, from `EpochCollects` on.
+    pub fn is_process_level(self) -> bool {
+        self as usize >= Counter::EpochCollects as usize
     }
 }
 
@@ -162,8 +175,9 @@ metric_enum! {
         /// Operations claimed from the intake array by the most recent
         /// batch leader (the drained batch's size).
         IntakeDepth => "intake_depth",
-        /// 1 while any batch engine in the process is poisoned, 0 after the
-        /// last `rebuild()`; service health checks scrape this.
+        /// How many of the tallies a snapshot was handed count an engine
+        /// poison; derived at gather time, never set. Service health checks
+        /// scrape this.
         EnginePoisoned => "engine_poisoned",
         /// Number of watchdog probes currently reporting a stall (returns
         /// to 0 when progress resumes).
@@ -199,6 +213,63 @@ struct CounterStripe {
     cells: [AtomicU64; Counter::COUNT],
 }
 
+static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// The calling thread's stripe ticket, assigned round-robin on first
+    /// use so worker pools spread evenly.
+    static STRIPE: usize =
+        NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) & (COUNTER_STRIPES - 1);
+}
+
+/// One cell per [`Counter`], striped across threads: the counters of one
+/// structure (or, for the process cells, of none). See the module docs.
+pub struct Tally {
+    stripes: [CounterStripe; COUNTER_STRIPES],
+}
+
+impl Tally {
+    /// An all-zero tally.
+    pub const fn new() -> Tally {
+        Tally {
+            stripes: [const {
+                CounterStripe {
+                    cells: [const { AtomicU64::new(0) }; Counter::COUNT],
+                }
+            }; COUNTER_STRIPES],
+        }
+    }
+
+    /// Adds `n` to counter `c`: one relaxed add on the calling thread's
+    /// stripe.
+    #[inline]
+    pub fn add(&self, c: Counter, n: u64) {
+        STRIPE.with(|&s| self.stripes[s].cells[c as usize].fetch_add(n, Ordering::Relaxed));
+    }
+
+    /// The current value of counter `c` (summed over the stripes).
+    pub fn get(&self, c: Counter) -> u64 {
+        self.stripes
+            .iter()
+            .map(|s| s.cells[c as usize].load(Ordering::Relaxed))
+            .sum()
+    }
+
+    fn reset(&self) {
+        for stripe in &self.stripes {
+            for cell in &stripe.cells {
+                cell.store(0, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+impl Default for Tally {
+    fn default() -> Tally {
+        Tally::new()
+    }
+}
+
 /// A shared atomic-bucket histogram, bucket-compatible with
 /// [`LatencyHistogram`] so snapshots are a plain relaxed sweep.
 struct AtomicHistogram {
@@ -206,11 +277,8 @@ struct AtomicHistogram {
     max: AtomicU64,
 }
 
-static STRIPES: [CounterStripe; COUNTER_STRIPES] = [const {
-    CounterStripe {
-        cells: [const { AtomicU64::new(0) }; Counter::COUNT],
-    }
-}; COUNTER_STRIPES];
+/// The process cells: counters with no owning structure.
+static PROCESS: Tally = Tally::new();
 
 static GAUGES: [AtomicU64; Gauge::COUNT] = [const { AtomicU64::new(0) }; Gauge::COUNT];
 
@@ -221,20 +289,13 @@ static HISTOGRAMS: [AtomicHistogram; SpanId::COUNT] = [const {
     }
 }; SpanId::COUNT];
 
-static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// The calling thread's counter stripe, assigned round-robin on first
-    /// use so worker pools spread evenly (the `dc_ett::hints` idiom).
-    static STRIPE: usize =
-        NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) & (COUNTER_STRIPES - 1);
-}
-
-/// Adds `n` to counter `c`. One relaxed load + branch when disabled.
+/// Adds `n` to process-level counter `c` (see
+/// [`Counter::is_process_level`]). One relaxed load + branch when disabled.
 #[inline]
 pub fn counter_add(c: Counter, n: u64) {
+    debug_assert!(c.is_process_level(), "{c:?} is counted in a Tally");
     if metrics_enabled() && n > 0 {
-        STRIPE.with(|&s| STRIPES[s].cells[c as usize].fetch_add(n, Ordering::Relaxed));
+        PROCESS.add(c, n);
     }
 }
 
@@ -260,12 +321,9 @@ pub fn span_record(id: SpanId, ns: u64) {
     h.max.fetch_max(ns, Ordering::Relaxed);
 }
 
-/// Current value of counter `c` (sum over stripes).
+/// Current value of process-level counter `c`.
 pub fn counter_value(c: Counter) -> u64 {
-    STRIPES
-        .iter()
-        .map(|s| s.cells[c as usize].load(Ordering::Relaxed))
-        .sum()
+    PROCESS.get(c)
 }
 
 /// Current value of gauge `g`.
@@ -283,15 +341,11 @@ pub fn span_snapshot(id: SpanId) -> LatencyHistogram {
     LatencyHistogram::from_parts(buckets, h.max.load(Ordering::Relaxed))
 }
 
-/// Zeroes every counter, gauge and histogram (bench cells and tests reset
-/// between measurement intervals; concurrent recorders just land in the
-/// new interval).
+/// Zeroes every process counter, gauge and histogram (bench cells and tests
+/// reset between measurement intervals; concurrent recorders just land in
+/// the new interval). Tallies belong to their structures and are untouched.
 pub fn reset() {
-    for stripe in STRIPES.iter() {
-        for cell in stripe.cells.iter() {
-            cell.store(0, Ordering::Relaxed);
-        }
-    }
+    PROCESS.reset();
     for g in GAUGES.iter() {
         g.store(0, Ordering::Relaxed);
     }
@@ -316,10 +370,10 @@ pub(crate) mod tests {
         let _g = TEST_GUARD.lock();
         set_metrics_enabled(false);
         reset();
-        counter_add(Counter::HdtAdditions, 5);
+        counter_add(Counter::EpochCollects, 5);
         gauge_set(Gauge::IntakeDepth, 9);
         span_record(SpanId::BatchFlush, 1234);
-        assert_eq!(counter_value(Counter::HdtAdditions), 0);
+        assert_eq!(counter_value(Counter::EpochCollects), 0);
         assert_eq!(gauge_value(Gauge::IntakeDepth), 0);
         assert_eq!(span_snapshot(SpanId::BatchFlush).count(), 0);
     }
@@ -329,14 +383,28 @@ pub(crate) mod tests {
         let _g = TEST_GUARD.lock();
         set_metrics_enabled(true);
         reset();
-        counter_add(Counter::HintHits, 2);
+        counter_add(Counter::ChaosInjections, 2);
         std::thread::scope(|s| {
             for _ in 0..4 {
-                s.spawn(|| counter_add(Counter::HintHits, 3));
+                s.spawn(|| counter_add(Counter::ChaosInjections, 3));
             }
         });
-        assert_eq!(counter_value(Counter::HintHits), 14);
+        assert_eq!(counter_value(Counter::ChaosInjections), 14);
         set_metrics_enabled(false);
+
+        // A tally counts with the flag off, and only into itself.
+        let (tally, other) = (Tally::new(), Tally::new());
+        tally.add(Counter::HintHits, 2);
+        tally.add(Counter::HintMisses, 1);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| tally.add(Counter::HintHits, 3));
+            }
+        });
+        assert_eq!(tally.get(Counter::HintHits), 14);
+        assert_eq!(tally.get(Counter::HintMisses), 1);
+        assert_eq!(other.get(Counter::HintHits), 0);
+        assert_eq!(counter_value(Counter::HintHits), 0);
     }
 
     #[test]
@@ -364,6 +432,23 @@ pub(crate) mod tests {
         reset();
         assert_eq!(span_snapshot(SpanId::WalFsync).count(), 0);
         set_metrics_enabled(false);
+    }
+
+    #[test]
+    fn only_ownerless_counters_are_process_level() {
+        let process: Vec<Counter> = Counter::ALL
+            .into_iter()
+            .filter(|c| c.is_process_level())
+            .collect();
+        assert_eq!(
+            process,
+            [
+                Counter::EpochCollects,
+                Counter::EpochNodesReclaimed,
+                Counter::WatchdogStalls,
+                Counter::ChaosInjections
+            ]
+        );
     }
 
     #[test]

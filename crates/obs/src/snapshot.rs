@@ -11,11 +11,12 @@
 //! The JSON exporter is the same hand-rolled, dependency-free serializer
 //! idiom as `dc_bench::report` (the offline build has no serde); the
 //! Prometheus exporter emits the text exposition format: counters as
-//! `dc_<name>_total`, gauges as `dc_<name>`, span histograms as summaries
-//! with `quantile` labels.
+//! `dc_<name>_total` (a per-structure counter once per gathered tally,
+//! labelled `instance="<label>"`), gauges as `dc_<name>`, span histograms as
+//! summaries with `quantile` labels.
 
 use crate::histogram::LatencyHistogram;
-use crate::metrics::{counter_value, gauge_value, span_snapshot, Counter, Gauge, SpanId};
+use crate::metrics::{counter_value, gauge_value, span_snapshot, Counter, Gauge, SpanId, Tally};
 use std::fmt::Write;
 
 /// Escapes `s` as a JSON string literal (hand-rolled; the offline build
@@ -40,12 +41,15 @@ fn json_string(s: &str) -> String {
     out
 }
 
-/// A point-in-time copy of every registry cell plus the legacy global
-/// wait-accounting counters (pulled from `dc_sync::waitstats`, which sits
-/// below this crate in the dependency order and so cannot push).
+/// A point-in-time copy of the process cells, of the tallies a caller
+/// hands over, and of the global wait-accounting counters (pulled from
+/// `dc_sync::waitstats`, which sits below this crate in the dependency order
+/// and so cannot push).
 #[derive(Clone, Debug)]
 pub struct ObsSnapshot {
-    counters: [u64; Counter::COUNT],
+    process: [u64; Counter::COUNT],
+    /// One `(label, counters)` entry per tally handed to [`ObsSnapshot::gather`].
+    instances: Vec<(String, [u64; Counter::COUNT])>,
     gauges: [u64; Gauge::COUNT],
     spans: [LatencyHistogram; SpanId::COUNT],
     /// Total nanoseconds threads spent blocked on instrumented locks
@@ -56,33 +60,38 @@ pub struct ObsSnapshot {
 }
 
 impl ObsSnapshot {
-    /// Reads every counter, gauge and span histogram, plus the waitstats
-    /// globals.
-    pub fn gather() -> ObsSnapshot {
-        let mut counters = [0u64; Counter::COUNT];
-        for c in Counter::ALL {
-            counters[c as usize] = counter_value(c);
-        }
-        let mut gauges = [0u64; Gauge::COUNT];
-        for g in Gauge::ALL {
-            gauges[g as usize] = gauge_value(g);
-        }
-        let mut spans = [LatencyHistogram::new(); SpanId::COUNT];
-        for s in SpanId::ALL {
-            spans[s as usize] = span_snapshot(s);
-        }
+    /// Reads the process counters, gauges and span histograms, the waitstats
+    /// globals, and each of `tallies` under its label (one exported series
+    /// per label). [`Gauge::EnginePoisoned`] is derived here: the number of
+    /// those tallies whose [`Counter::EnginePoisons`] is above 0.
+    pub fn gather(tallies: &[(&str, &Tally)]) -> ObsSnapshot {
+        let instances: Vec<(String, [u64; Counter::COUNT])> = tallies
+            .iter()
+            .map(|&(label, tally)| (label.to_string(), Counter::ALL.map(|c| tally.get(c))))
+            .collect();
+        let mut gauges = Gauge::ALL.map(gauge_value);
+        gauges[Gauge::EnginePoisoned as usize] = instances
+            .iter()
+            .filter(|(_, cells)| cells[Counter::EnginePoisons as usize] > 0)
+            .count() as u64;
         ObsSnapshot {
-            counters,
+            process: Counter::ALL.map(counter_value),
+            instances,
             gauges,
-            spans,
+            spans: SpanId::ALL.map(span_snapshot),
             wait_nanos: dc_sync::waitstats::total_wait_nanos(),
             wait_events: dc_sync::waitstats::wait_events(),
         }
     }
 
-    /// The snapshotted value of counter `c`.
+    /// Counter `c` summed over the gathered tallies plus the process cells.
     pub fn counter(&self, c: Counter) -> u64 {
-        self.counters[c as usize]
+        self.process[c as usize]
+            + self
+                .instances
+                .iter()
+                .map(|(_, cells)| cells[c as usize])
+                .sum::<u64>()
     }
 
     /// The snapshotted value of gauge `g`.
@@ -101,7 +110,19 @@ impl ObsSnapshot {
         for c in Counter::ALL {
             let name = c.name();
             let _ = writeln!(out, "# TYPE dc_{name}_total counter");
-            let _ = writeln!(out, "dc_{name}_total {}", self.counter(c));
+            if c.is_process_level() {
+                let _ = writeln!(out, "dc_{name}_total {}", self.process[c as usize]);
+                continue;
+            }
+            for (label, cells) in &self.instances {
+                // `Debug` quotes the label and escapes `\`, `"` and newline
+                // the way the exposition format asks.
+                let _ = writeln!(
+                    out,
+                    "dc_{name}_total{{instance={label:?}}} {}",
+                    cells[c as usize]
+                );
+            }
         }
         for g in Gauge::ALL {
             let name = g.name();
@@ -129,8 +150,8 @@ impl ObsSnapshot {
         out
     }
 
-    /// Renders the snapshot as a JSON object (counters, gauges, span
-    /// percentile summaries, waitstats).
+    /// Renders the snapshot as a JSON object (counter totals, per-instance
+    /// counters, gauges, span percentile summaries, waitstats).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"counters\": {");
         for (i, c) in Counter::ALL.iter().enumerate() {
@@ -141,6 +162,22 @@ impl ObsSnapshot {
                 json_string(c.name()),
                 self.counter(*c)
             );
+        }
+        out.push_str("\n  },\n  \"instances\": {");
+        for (i, (label, cells)) in self.instances.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            let _ = write!(out, "{sep}\n    {}: {{", json_string(label));
+            let per_instance = Counter::ALL.iter().filter(|c| !c.is_process_level());
+            for (j, c) in per_instance.enumerate() {
+                let sep = if j == 0 { "" } else { ", " };
+                let _ = write!(
+                    out,
+                    "{sep}{}: {}",
+                    json_string(c.name()),
+                    cells[*c as usize]
+                );
+            }
+            out.push('}');
         }
         out.push_str("\n  },\n  \"gauges\": {");
         for (i, g) in Gauge::ALL.iter().enumerate() {
@@ -189,13 +226,19 @@ mod tests {
         let _g = TEST_GUARD.lock();
         set_metrics_enabled(true);
         reset();
-        counter_add(Counter::WalFsyncs, 3);
+        counter_add(Counter::EpochCollects, 3);
         gauge_set(Gauge::ArenaOccupancy, 42);
         span_record(SpanId::CheckpointWrite, 5_000);
-        let snap = ObsSnapshot::gather();
+        let (a, b) = (Tally::new(), Tally::new());
+        a.add(Counter::WalFsyncs, 2);
+        b.add(Counter::WalFsyncs, 5);
+        b.add(Counter::EnginePoisons, 1);
+        let snap = ObsSnapshot::gather(&[("a", &a), ("b", &b)]);
         set_metrics_enabled(false);
-        assert_eq!(snap.counter(Counter::WalFsyncs), 3);
+        assert_eq!(snap.counter(Counter::EpochCollects), 3);
+        assert_eq!(snap.counter(Counter::WalFsyncs), 7);
         assert_eq!(snap.gauge(Gauge::ArenaOccupancy), 42);
+        assert_eq!(snap.gauge(Gauge::EnginePoisoned), 1);
         assert_eq!(snap.span(SpanId::CheckpointWrite).count(), 1);
         assert_eq!(snap.span(SpanId::CheckpointWrite).max(), 5_000);
     }
@@ -205,11 +248,19 @@ mod tests {
         let _g = TEST_GUARD.lock();
         set_metrics_enabled(true);
         reset();
-        counter_add(Counter::HintHits, 7);
-        let snap = ObsSnapshot::gather();
+        counter_add(Counter::ChaosInjections, 4);
+        let (a, b) = (Tally::new(), Tally::new());
+        a.add(Counter::HintHits, 7);
+        let snap = ObsSnapshot::gather(&[("a", &a), ("b \"2\"", &b)]);
         set_metrics_enabled(false);
         let text = snap.to_prometheus();
-        assert!(text.contains("dc_hint_hits_total 7"));
+        assert!(text.contains("\ndc_chaos_injections_total 4\n"));
+        assert!(text.contains("dc_hint_hits_total{instance=\"a\"} 7\n"));
+        assert!(text.contains("dc_hint_hits_total{instance=\"b \\\"2\\\"\"} 0\n"));
+        assert!(
+            !text.contains("\ndc_hint_hits_total "),
+            "no unlabelled per-instance series"
+        );
         for c in Counter::ALL {
             assert!(text.contains(&format!("dc_{}_total", c.name())), "{:?}", c);
         }
@@ -231,13 +282,15 @@ mod tests {
         let _g = TEST_GUARD.lock();
         set_metrics_enabled(true);
         reset();
-        counter_add(Counter::Checkpoints, 2);
-        let snap = ObsSnapshot::gather();
+        let tally = Tally::new();
+        tally.add(Counter::Checkpoints, 2);
+        let snap = ObsSnapshot::gather(&[("store", &tally)]);
         set_metrics_enabled(false);
         let json = snap.to_json();
         assert!(json.starts_with("{\n"));
         assert!(json.trim_end().ends_with('}'));
         assert!(json.contains("\"checkpoints\": 2"));
+        assert!(json.contains("\"store\": {"));
         assert!(json.contains("\"p999_ns\""));
         assert_eq!(
             json.matches('{').count(),

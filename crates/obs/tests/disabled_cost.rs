@@ -2,9 +2,10 @@
 //! matter beyond cycle counts: recording sites must not allocate, and the
 //! flight recorder must not buffer a single byte.
 //!
-//! `dc_obs`'s contract is that every recording entry point — counters,
-//! gauges, spans, events — degenerates to one relaxed flag load when the
-//! corresponding flag is off. A slow path that allocated (a lazily created
+//! `dc_obs`'s contract is that every flag-guarded recording entry point —
+//! process counters, gauges, spans, events — degenerates to one relaxed
+//! flag load when the corresponding flag is off, and that a structure's
+//! tally add (always on) is one striped add. A slow path that allocated (a lazily created
 //! ring, a formatted label) or that wrote into a ring would make "compiled
 //! in but switched off" observably different from "not there", which is
 //! exactly what production binaries shipping this crate cannot afford.
@@ -55,10 +56,13 @@ fn counters() -> (u64, u64) {
     )
 }
 
+/// A structure's counters, which count whatever the flags say.
+static TALLY: dc_obs::Tally = dc_obs::Tally::new();
+
 /// Every public recording entry point, once.
 fn record_burst() {
-    dc_obs::counter_add(dc_obs::Counter::HdtAdditions, 1);
-    dc_obs::counter_add(dc_obs::Counter::WalBytes, 4096);
+    TALLY.add(dc_obs::Counter::HdtAdditions, 1);
+    dc_obs::counter_add(dc_obs::Counter::EpochCollects, 1);
     dc_obs::gauge_set(dc_obs::Gauge::IntakeDepth, 17);
     dc_obs::span_record(dc_obs::SpanId::BatchFlush, 1_000);
     let _span = dc_obs::span(dc_obs::SpanId::ReplacementSearch);
@@ -102,7 +106,12 @@ fn disabled_recording_neither_allocates_nor_buffers() {
         bytes_before,
         "disabled recording wrote into a flight ring"
     );
-    assert_eq!(dc_obs::counter_value(dc_obs::Counter::HdtAdditions), 0);
+    assert_eq!(dc_obs::counter_value(dc_obs::Counter::EpochCollects), 0);
+    assert_eq!(
+        TALLY.get(dc_obs::Counter::HdtAdditions),
+        10_001,
+        "tallies ignore the flag"
+    );
     assert_eq!(dc_obs::span_snapshot(dc_obs::SpanId::BatchFlush).count(), 0);
 
     // Control: the same burst with tracing on must allocate this thread's
@@ -118,7 +127,7 @@ fn disabled_recording_neither_allocates_nor_buffers() {
         "enabling tracing should allocate the thread's ring"
     );
     assert!(dc_obs::flight::total_bytes_recorded() > bytes_before);
-    assert!(dc_obs::counter_value(dc_obs::Counter::HdtAdditions) > 0);
+    assert!(dc_obs::counter_value(dc_obs::Counter::EpochCollects) > 0);
     dc_obs::set_metrics_enabled(false);
     dc_obs::set_tracing_enabled(false);
 }

@@ -8,9 +8,9 @@
 //!
 //! On top of the traffic, this example turns on `dc_obs` and runs a
 //! *scrape loop* the way a metrics agent would: every interval it gathers
-//! an [`dc_obs::ObsSnapshot`] and prints the structural counters (links,
-//! cuts, replacement searches) and sampled span percentiles, live while
-//! the links flap. At the end it prints the Prometheus exposition text a
+//! an [`dc_obs::ObsSnapshot`] over the structure's tally and prints the
+//! structural counters (links, cuts, replacement searches) and sampled span
+//! percentiles, live while the links flap. At the end it prints the Prometheus exposition text a
 //! real scraper would ingest, plus the tail of the flight recorder — the
 //! last structural events, merged chronologically across threads.
 //!
@@ -35,9 +35,10 @@ fn main() {
         topology.density()
     );
 
-    // Observability on: counters + spans and the flight recorder. Both
-    // default off; a production binary would flip these from a signal
-    // handler or admin endpoint.
+    // Observability on: process counters, gauges and spans, and the flight
+    // recorder. Both default off; a production binary would flip these from
+    // a signal handler or admin endpoint. The structure's own counters (its
+    // tally) are always on.
     dc_obs::set_metrics_enabled(true);
     dc_obs::set_tracing_enabled(true);
 
@@ -80,12 +81,14 @@ fn main() {
 
         // The scrape loop: what a metrics agent sees while the links flap.
         let stop_s = Arc::clone(&stop);
+        let dc_s = Arc::clone(&dc);
         s.spawn(move || {
             let mut scrape = 0u32;
             while !stop_s.load(Ordering::Relaxed) {
                 std::thread::sleep(Duration::from_millis(100));
                 scrape += 1;
-                let snap = dc_obs::ObsSnapshot::gather();
+                let tally = dc_s.tally().expect("an HDT-backed variant");
+                let snap = dc_obs::ObsSnapshot::gather(&[("monitor", tally)]);
                 println!(
                     "scrape {scrape}: links={} cuts={} replacements={} hint_hits={} \
                      hint_invalidations={}",
@@ -158,7 +161,11 @@ fn main() {
 
     // What a Prometheus scrape of this process would return.
     println!("\n--- prometheus exposition ---");
-    print!("{}", dc_obs::ObsSnapshot::gather().to_prometheus());
+    let tally = dc.tally().expect("an HDT-backed variant");
+    print!(
+        "{}",
+        dc_obs::ObsSnapshot::gather(&[("monitor", tally)]).to_prometheus()
+    );
 
     // The flight recorder's tail: the last structural events, merged
     // chronologically across every thread that recorded.

@@ -14,6 +14,7 @@
 //!   Every stale hint must fail validation and re-climb to the truth.
 
 use concurrent_dynamic_connectivity::{DynamicConnectivity, Variant};
+use dc_obs::Counter;
 use dynconn::RecomputeOracle;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -173,9 +174,11 @@ fn warm_quiescent_sweep_hits_the_hint_cache_on_variants_8_and_9() {
             }
         };
         sweep();
-        let (cold_hits, _) = dc.read_hint_counters().expect("hinted variant");
+        let tally = dc.tally().expect("hinted variant");
+        let cold_hits = tally.get(Counter::HintHits);
         sweep();
-        let (warm_hits, warm_misses) = dc.read_hint_counters().expect("hinted variant");
+        let (warm_hits, warm_misses) =
+            (tally.get(Counter::HintHits), tally.get(Counter::HintMisses));
         assert!(
             warm_hits > cold_hits,
             "{}: the warm sweep recorded no hint hits ({warm_hits} hits, {warm_misses} misses in total)",
@@ -216,7 +219,8 @@ proptest! {
             }
             // The lock-free-read variants must actually have gone through
             // the cache (hits or misses — under churn both occur).
-            if let Some((hits, misses)) = dc.read_hint_counters() {
+            if let Some(tally) = dc.tally() {
+                let (hits, misses) = (tally.get(Counter::HintHits), tally.get(Counter::HintMisses));
                 let lock_free_reads = matches!(
                     variant.paper_number(),
                     3 | 5 | 8 | 9 | 10 | 11 | 13 | 14
