@@ -172,4 +172,21 @@ mod tests {
         cache.install(0, cache.raw(0), u32::MAX, u64::from(u32::MAX));
         assert_eq!(HintCache::decode(cache.raw(0)), None);
     }
+
+    /// Hint hits and misses land in the forest's striped tally; resolutions
+    /// from several threads all add up there.
+    #[test]
+    fn counters_accumulate_across_stripes() {
+        let f = crate::EulerForest::with_seed(2, 0);
+        f.link(0, 1);
+        f.resolve_root_validated(0); // cold slot: a miss that installs
+        f.resolve_root_validated(0);
+        f.resolve_root_validated(0);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| f.resolve_root_validated(0));
+            }
+        });
+        assert_eq!(f.read_hint_stats(), (6, 1));
+    }
 }
