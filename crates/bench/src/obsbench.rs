@@ -9,8 +9,12 @@
 //! * **metrics+tracing** — registry plus the flight recorder (per-thread
 //!   event rings).
 //!
-//! Each mode's throughput is best-of-`repeats`, and the enabled modes report
-//! their cost against baseline. Nothing is gated: enabling is allowed to
+//! The modes run in rounds: each round runs all three, back to back, in an
+//! order that rotates from round to round, and prices each enabled mode
+//! against that round's baseline. A mode reports its median throughput and
+//! the median of its per-round costs with their quartiles, so a cost
+//! smaller than the spread between rounds shows as unresolved instead of
+//! as a best-of-N figure. Nothing is gated: enabling is allowed to
 //! cost something, and the cost of the *disabled* sites is pinned by the
 //! counting-allocator test `crates/obs/tests/disabled_cost.rs`, not by a
 //! throughput ratio. The counter totals, span percentiles and
@@ -34,7 +38,7 @@ pub struct ObsBenchConfig {
     pub threads: usize,
     /// PRNG seed.
     pub seed: u64,
-    /// Repetitions; best throughput per mode is kept.
+    /// Rounds; each runs every mode once.
     pub repeats: usize,
 }
 
@@ -45,7 +49,7 @@ impl ObsBenchConfig {
         let (n, ops_per_thread, threads, repeats) = if quick() {
             (512, 4_000, 4, 3)
         } else {
-            (4_096, 40_000, 8, 5)
+            (4_096, 40_000, 8, 21)
         };
         ObsBenchConfig {
             n,
@@ -62,11 +66,12 @@ impl ObsBenchConfig {
 pub struct ModeCell {
     /// Mode name ("baseline", "metrics", "metrics+tracing").
     pub mode: String,
-    /// Operations per second (best of `repeats`).
+    /// Operations per second, median over the rounds.
     pub ops_per_sec: f64,
-    /// Throughput lost versus baseline, in percent (negative = faster,
-    /// i.e. noise).
-    pub overhead_percent: f64,
+    /// Throughput lost versus the same round's baseline, in percent: the
+    /// lower quartile, median and upper quartile over the rounds (negative
+    /// = faster than baseline).
+    pub overhead_percent: [f64; 3],
 }
 
 /// One span histogram observed during the enabled runs.
@@ -107,7 +112,21 @@ const MODES: [(&str, bool, bool); 3] = [
     ("metrics+tracing", true, true),
 ];
 
-/// Measures the read-storm workload in all three modes, best-of-`repeats`.
+/// The lower quartile, median and upper quartile of `xs` (linear
+/// interpolation between order statistics).
+fn quartiles(xs: &[f64]) -> [f64; 3] {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let pos = q * (sorted.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+    };
+    [at(0.25), at(0.5), at(0.75)]
+}
+
+/// Measures the read-storm workload in all three modes, in `repeats`
+/// rounds of alternating order.
 pub fn run_obs_bench(config: &ObsBenchConfig) -> ObsBaseline {
     let topo = Topology::PowerLaw {
         n: config.n,
@@ -130,14 +149,18 @@ pub fn run_obs_bench(config: &ObsBenchConfig) -> ObsBaseline {
     // page faults and cold caches that none of the later cells pay.
     run();
 
-    let mut best = [0.0f64; MODES.len()];
+    // ops[mode][round]
+    let rounds = config.repeats.max(1);
+    let mut ops = vec![Vec::with_capacity(rounds); MODES.len()];
     let mut counted = [0u64; dc_obs::Counter::COUNT];
-    for _ in 0..config.repeats.max(1) {
-        for (i, &(_, metrics, tracing)) in MODES.iter().enumerate() {
+    for round in 0..rounds {
+        for k in 0..MODES.len() {
+            let i = (round + k) % MODES.len();
+            let (_, metrics, tracing) = MODES[i];
             dc_obs::set_metrics_enabled(metrics);
             dc_obs::set_tracing_enabled(tracing);
-            let (ops, cells) = run();
-            best[i] = best[i].max(ops);
+            let (round_ops, cells) = run();
+            ops[i].push(round_ops);
             if metrics {
                 for (sum, cell) in counted.iter_mut().zip(cells) {
                     *sum += cell;
@@ -148,14 +171,20 @@ pub fn run_obs_bench(config: &ObsBenchConfig) -> ObsBaseline {
     dc_obs::set_metrics_enabled(false);
     dc_obs::set_tracing_enabled(false);
 
-    let baseline_ops = best[0].max(1e-9);
     let modes = MODES
         .iter()
-        .zip(best)
-        .map(|(&(mode, _, _), ops_per_sec)| ModeCell {
-            mode: mode.to_string(),
-            ops_per_sec,
-            overhead_percent: (1.0 - ops_per_sec / baseline_ops) * 100.0,
+        .zip(&ops)
+        .map(|(&(mode, _, _), mode_ops)| {
+            let costs: Vec<f64> = mode_ops
+                .iter()
+                .zip(&ops[0])
+                .map(|(o, base)| (1.0 - o / base.max(1e-9)) * 100.0)
+                .collect();
+            ModeCell {
+                mode: mode.to_string(),
+                ops_per_sec: quartiles(mode_ops)[1],
+                overhead_percent: quartiles(&costs),
+            }
         })
         .collect();
 
@@ -192,11 +221,11 @@ pub fn run_obs_bench(config: &ObsBenchConfig) -> ObsBaseline {
 }
 
 impl ObsBaseline {
-    /// Renders the measurement as the `dc-bench/obs/v2` document.
+    /// Renders the measurement as the `dc-bench/obs/v3` document.
     pub fn to_json(&self) -> String {
         let c = &self.config;
         document(
-            "dc-bench/obs/v2",
+            "dc-bench/obs/v3",
             vec![
                 (
                     "config",
@@ -205,15 +234,18 @@ impl ObsBaseline {
                         ("ops_per_thread", Json::int(c.ops_per_thread)),
                         ("threads", Json::int(c.threads)),
                         ("seed", Json::Int(c.seed)),
-                        ("repeats_best_of", Json::int(c.repeats)),
+                        ("paired_rounds", Json::int(c.repeats)),
                     ]),
                 ),
                 (
                     "modes",
                     Json::obj(self.modes.iter().map(|m| {
+                        let [p25, p50, p75] = m.overhead_percent;
                         let cell = Json::obj([
                             ("ops_per_sec", Json::Num(m.ops_per_sec)),
-                            ("overhead_percent", Json::Num(m.overhead_percent)),
+                            ("overhead_percent", Json::Num(p50)),
+                            ("overhead_p25_percent", Json::Num(p25)),
+                            ("overhead_p75_percent", Json::Num(p75)),
                         ]);
                         (m.mode.as_str(), cell)
                     })),
@@ -246,13 +278,15 @@ impl ObsBaseline {
     /// Renders an aligned text table.
     pub fn render_text(&self) -> String {
         let mut out = format!(
-            "== Observability cost (read storm, {} threads) ==\n{:<20}{:>14}{:>12}\n",
-            self.config.threads, "mode", "ops/s", "overhead %"
+            "== Observability cost (read storm, {} threads, {} paired rounds) ==\n\
+             {:<20}{:>14}{:>12}{:>22}\n",
+            self.config.threads, self.config.repeats, "mode", "ops/s", "overhead %", "quartiles %"
         );
         for cell in &self.modes {
+            let [p25, p50, p75] = cell.overhead_percent;
             out.push_str(&format!(
-                "{:<20}{:>14.0}{:>12.2}\n",
-                cell.mode, cell.ops_per_sec, cell.overhead_percent
+                "{:<20}{:>14.0}{:>12.2}{:>11.2} ..{:>7.2}\n",
+                cell.mode, cell.ops_per_sec, p50, p25, p75
             ));
         }
         out.push_str(&format!(
@@ -274,18 +308,31 @@ mod tests {
     use super::*;
 
     #[test]
+    fn quartiles_interpolate_between_order_statistics() {
+        assert_eq!(quartiles(&[5.0, 1.0, 3.0, 2.0, 4.0]), [2.0, 3.0, 4.0]);
+        assert_eq!(quartiles(&[2.0, 1.0]), [1.25, 1.5, 1.75]);
+        assert_eq!(quartiles(&[7.0]), [7.0; 3]);
+    }
+
+    #[test]
     fn obs_bench_runs_on_a_tiny_instance() {
         let config = ObsBenchConfig {
             n: 96,
             ops_per_thread: 400,
             threads: 2,
             seed: 7,
-            repeats: 1,
+            repeats: 2,
         };
         let baseline = run_obs_bench(&config);
         let modes: Vec<&str> = baseline.modes.iter().map(|c| c.mode.as_str()).collect();
         assert_eq!(modes, ["baseline", "metrics", "metrics+tracing"]);
         assert!(baseline.modes.iter().all(|c| c.ops_per_sec > 0.0));
+        // Baseline is priced against itself in every round.
+        assert_eq!(baseline.modes[0].overhead_percent, [0.0; 3]);
+        for cell in &baseline.modes {
+            let [p25, p50, p75] = cell.overhead_percent;
+            assert!(p25 <= p50 && p50 <= p75, "{cell:?}");
+        }
         // The enabled runs must have actually fired the instrumentation.
         assert!(
             baseline.counters.iter().any(|(n, _)| n == "hdt_additions"),
@@ -294,7 +341,8 @@ mod tests {
         );
         assert!(baseline.flight_bytes > 0, "tracing run recorded no events");
         let json = baseline.to_json();
-        assert!(json.contains("dc-bench/obs/v2"));
+        assert!(json.contains("dc-bench/obs/v3"));
+        assert!(json.contains("\"overhead_p75_percent\""));
         assert!(json.contains("\"metrics+tracing\""));
         assert!(baseline.render_text().contains("Observability cost"));
     }

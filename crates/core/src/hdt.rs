@@ -5,7 +5,9 @@
 //! sequential algorithm (paper Section 4.1):
 //!
 //! * one Euler Tour Tree forest per level, `F_0 ⊇ F_1 ⊇ … ⊇ F_lmax`, where
-//!   the level-0 forest is the one concurrent readers query;
+//!   the level-0 forest is the one concurrent readers query; the others are
+//!   writer-private ([`EulerForest::writer_private`]: no version words, no
+//!   busy-bit bumps);
 //! * per-vertex, per-level multisets of adjacent non-spanning edges plus the
 //!   corresponding subtree summary flags inside the ETT nodes;
 //! * per-vertex, per-level sets of adjacent *exact-level* spanning edges,
@@ -57,6 +59,16 @@
 //!   operations* atomic (which is what the lock-free non-spanning protocol
 //!   needs for its `add_nonspanning_info` / `remove_nonspanning_info`
 //!   publications).
+//!
+//! # The replacement search
+//!
+//! [`Hdt::remove_edge_locked`] of a spanning edge searches the levels from
+//! the edge's own down to 0, on the smaller piece. Each level first samples
+//! up to `k` non-crossing candidates, promoting nothing
+//! ([`default_sampling_limit`]: `max(16, ⌈log₂ n⌉²)` for [`Hdt::new`]), and
+//! promotes only when that budget runs out (DESIGN.md §15).
+//! [`StatsSnapshot::sample_budgets_spent`] and [`StatsSnapshot::promotions`]
+//! count how often that happens and what it moves.
 
 use crate::baseline::UnionFind;
 use crate::state::{EdgeState, RemovalOp, Status};
@@ -67,14 +79,19 @@ use dc_sync::{AdjacencyStore, ShardedMap};
 use std::ops::ControlFlow;
 use std::sync::{Arc, OnceLock};
 
-/// Default budget of the replacement search's sample pass: at each level it
-/// looks at up to this many non-crossing non-spanning edges of the smaller
-/// side, promoting nothing, before it falls back to promoting (the sampling
-/// heuristic of Iyer et al. that the paper enables for every algorithm). A
-/// replacement among them promotes nothing, and a side with fewer such edges
-/// has no replacement at that level, so that level promotes nothing either.
-/// A budget of 0 skips the sample pass: every level promotes (DESIGN.md §15).
-pub const DEFAULT_SAMPLING_LIMIT: usize = 16;
+/// The replacement search's sample budget [`Hdt::new`] gives `n` vertices:
+/// `max(16, ⌈log₂ n⌉²)`, the Θ(log² n) sample of Henzinger & King. At each
+/// level the search looks at up to this many non-crossing non-spanning
+/// edges of the smaller side, promoting nothing, before it falls back to
+/// promoting (the sampling heuristic the paper enables for every
+/// algorithm). A replacement among them promotes nothing, and a side with
+/// fewer such edges has no replacement at that level, so that level
+/// promotes nothing either. A budget of 0 ([`Hdt::with_sampling`]) skips
+/// the sample pass: every level promotes (DESIGN.md §15).
+pub fn default_sampling_limit(n: usize) -> usize {
+    let log = (usize::BITS - n.saturating_sub(1).leading_zeros()) as usize;
+    (log * log).max(16)
+}
 
 /// The Table 3 / Table 4 statistics of one [`Hdt`]: a point-in-time read of
 /// its [`Tally`] (see [`Hdt::stats`]).
@@ -93,6 +110,9 @@ pub struct StatsSnapshot {
     /// Replacement-search levels whose sample pass spent its budget before
     /// its walk ended, and so fell back to promote + full scan.
     pub sample_budgets_spent: u64,
+    /// Edges moved up one level by a replacement search (spanning edges by
+    /// its promotion step, non-spanning ones by its full scan).
+    pub promotions: u64,
     /// Query endpoint resolutions answered purely from the level-0
     /// root-hint cache — no tree traversal at all (a two-endpoint query
     /// contributes two counts).
@@ -195,8 +215,8 @@ enum ScanPass {
     /// Promotes nothing, and stops once `left` reaches 0; each non-crossing
     /// edge seen takes one from it.
     Sample { left: usize },
-    /// Promotes every non-crossing edge to the next level.
-    Full,
+    /// Promotes every non-crossing edge to the next level, counting them.
+    Full { promoted: u64 },
 }
 
 /// How a pass of the replacement scan ended.
@@ -240,9 +260,10 @@ pub struct Hdt {
 }
 
 impl Hdt {
-    /// Creates an empty structure over `n` vertices.
+    /// Creates an empty structure over `n` vertices, with the sample budget
+    /// of [`default_sampling_limit`].
     pub fn new(n: usize) -> Self {
-        Self::with_sampling(n, DEFAULT_SAMPLING_LIMIT)
+        Self::with_sampling(n, default_sampling_limit(n))
     }
 
     /// Creates an empty structure with an explicit sampling budget for the
@@ -293,11 +314,12 @@ impl Hdt {
     }
 
     /// The level-`i` spanning forest (the level-0 forest is the one queries
-    /// read). Forests above level 0 materialize on first access.
+    /// read). Forests above level 0 materialize on first access, writer-private:
+    /// no reader climbs them, so they carry no version words.
     #[inline]
     pub fn forest(&self, level: usize) -> &EulerForest {
         self.levels[level].get_or_init(|| {
-            EulerForest::with_tally(self.n, Self::forest_seed(level), Arc::clone(&self.tally))
+            EulerForest::writer_private(self.n, Self::forest_seed(level), Arc::clone(&self.tally))
         })
     }
 
@@ -326,6 +348,7 @@ impl Hdt {
             non_spanning_removals: t.get(Counter::HdtNonSpanningRemovals),
             replacements_found: t.get(Counter::HdtReplacementsFound),
             sample_budgets_spent: t.get(Counter::HdtSampleBudgetsSpent),
+            promotions: t.get(Counter::HdtPromotions),
             read_hint_hits: t.get(Counter::HintHits),
             read_hint_misses: t.get(Counter::HintMisses),
         }
@@ -1090,7 +1113,7 @@ impl Hdt {
             self.promote_spanning_edges(lvl, small_root);
             // 3. Scan for a replacement, promoting every other candidate.
             if let ScanEnd::Found(found) =
-                self.scan_for_replacement(lvl, small_root, ScanPass::Full)
+                self.scan_for_replacement(lvl, small_root, ScanPass::Full { promoted: 0 })
             {
                 replacement = Some((found, lvl));
                 break;
@@ -1143,16 +1166,19 @@ impl Hdt {
     /// their aggregate flags and repairs them post-order.
     fn promote_spanning_edges(&self, level: usize, root: NodeRef) {
         let forest = self.forest(level);
+        let mut promoted = 0;
         forest.visit_marked_vertices(root, Mark::Spanning, |vertex| {
-            self.promote_vertex_spanning_edges(level, vertex);
+            promoted += self.promote_vertex_spanning_edges(level, vertex);
             ControlFlow::Continue(())
         });
+        self.tally.add(Counter::HdtPromotions, promoted);
     }
 
     /// The per-vertex payload of [`Hdt::promote_spanning_edges`]: drains the
     /// exact-level spanning adjacency slot of `vertex`, promoting each edge
-    /// one level up. Harmless on vertices with an empty slot.
-    fn promote_vertex_spanning_edges(&self, level: usize, vertex: u32) {
+    /// one level up, and returns how many it promoted. Harmless on vertices
+    /// with an empty slot.
+    fn promote_vertex_spanning_edges(&self, level: usize, vertex: u32) -> u64 {
         let forest = self.forest(level);
         let mut promoted = 0u64;
         // Promotion is a drain: every copy in this slot either moves up
@@ -1193,6 +1219,7 @@ impl Hdt {
         if self.tree_adj.is_empty(level, vertex) {
             forest.set_vertex_self_mark(vertex, Mark::Spanning, false);
         }
+        promoted
     }
 
     /// Scans the non-spanning edges of exactly `level` adjacent to the tree
@@ -1210,6 +1237,9 @@ impl Hdt {
             self.scan_vertex(level, vertex, root, &mut pass)
                 .map_break(|stop| end = stop)
         });
+        if let ScanPass::Full { promoted } = pass {
+            self.tally.add(Counter::HdtPromotions, promoted);
+        }
         end
     }
 
@@ -1287,7 +1317,7 @@ impl Hdt {
                 {
                     self.remove_nonspanning_info(level, edge);
                 }
-            } else if let ScanPass::Full = pass {
+            } else if let ScanPass::Full { promoted } = pass {
                 // Promote the edge to the next level (it cannot be a
                 // replacement now and will stay non-spanning there).
                 let next_level = level + 1;
@@ -1303,6 +1333,7 @@ impl Hdt {
                     .is_ok()
                 {
                     self.remove_nonspanning_info(level, edge);
+                    *promoted += 1;
                 } else {
                     self.remove_nonspanning_info(next_level, edge);
                 }
@@ -1447,8 +1478,22 @@ mod tests {
             !hdt.forest(1).hints_materialized(),
             "upper-level forests are never queried, so they must not pay the hint table"
         );
+        assert!(
+            hdt.forest(1).is_writer_private() && !hdt.forest(0).is_writer_private(),
+            "only level 0 carries version words"
+        );
         assert_eq!(hdt.stats().sample_budgets_spent, 0, "no sample pass ran");
         hdt.validate();
+    }
+
+    #[test]
+    fn the_default_sample_budget_is_log_squared_from_sixteen() {
+        assert_eq!(default_sampling_limit(1), 16);
+        assert_eq!(default_sampling_limit(2), 16);
+        assert_eq!(default_sampling_limit(16), 16);
+        assert_eq!(default_sampling_limit(17), 25);
+        assert_eq!(default_sampling_limit(1 << 18), 324);
+        assert_eq!(default_sampling_limit(490_000), 361);
     }
 
     #[test]
@@ -1465,6 +1510,7 @@ mod tests {
             1,
             "a replacement found by the sample must not promote"
         );
+        assert_eq!(hdt.stats().promotions, 0);
         hdt.validate();
     }
 
@@ -1499,6 +1545,7 @@ mod tests {
             "a spent budget must fall back to promotion"
         );
         assert!(hdt.stats().sample_budgets_spent >= 1);
+        assert!(hdt.stats().promotions > 0);
         hdt.validate();
     }
 

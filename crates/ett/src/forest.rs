@@ -30,6 +30,12 @@
 //! vertex id is total.  This halves the node footprint (see
 //! [`crate::node`]).
 //!
+//! A forest that no lock-free reader ever queries (every HDT level above 0)
+//! is built with [`EulerForest::writer_private`]: it holds no version words
+//! and its structural operations bump none, so it reads as version 0
+//! everywhere and never materializes a hint table.  Only its writer (or a
+//! thread holding the writer's locks) may read it.
+//!
 //! Lock-free traversals ([`EulerForest::find_root`],
 //! [`EulerForest::connected`], [`EulerForest::mark_path_upward`]) pin the
 //! arena's epoch domain, which lets `cut` *retire* its two Euler-tour edge
@@ -229,9 +235,11 @@ pub struct EulerForest {
     arena: Arena,
     /// Normalized tree edge -> (min->max tour node, max->min tour node).
     edge_nodes: ShardedMap<(u32, u32), (NodeRef, NodeRef)>,
+    /// Number of vertices.
+    n: usize,
     /// Per-vertex root version, read by the lock-free protocol whenever the
     /// vertex is a component representative (side table, see module docs).
-    /// Its length is the vertex count.
+    /// One word per vertex, or none on a writer-private forest.
     versions: Box<[AtomicU64]>,
     /// Per-vertex component lock, taken by the dynamic connectivity layer
     /// on level-0 representatives. Lazy: upper-level forests never touch it.
@@ -269,13 +277,28 @@ impl EulerForest {
     /// HDT hands its forests its own tally, so a structure's counters are
     /// one series.
     pub fn with_tally(n: usize, seed: u64, tally: Arc<Tally>) -> Self {
+        Self::build(n, seed, tally, true)
+    }
+
+    /// [`EulerForest::with_tally`] for a forest that no lock-free reader
+    /// ever queries: it allocates no version words, its structural
+    /// operations bump none, and its hints stay off. Every read of it must
+    /// come from its writer, or under the writer's locks.
+    pub fn writer_private(n: usize, seed: u64, tally: Arc<Tally>) -> Self {
+        Self::build(n, seed, tally, false)
+    }
+
+    fn build(n: usize, seed: u64, tally: Arc<Tally>, shared: bool) -> Self {
         let forest = EulerForest {
             arena: Arena::new(),
             edge_nodes: ShardedMap::new(),
-            versions: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            n,
+            versions: (0..if shared { n } else { 0 })
+                .map(|_| AtomicU64::new(0))
+                .collect(),
             locks: OnceLock::new(),
             hints: OnceLock::new(),
-            hints_off: AtomicBool::new(false),
+            hints_off: AtomicBool::new(!shared),
             tally,
             interleave_width: AtomicU8::new(DEFAULT_INTERLEAVE_WIDTH as u8),
             prio_state: AtomicU64::new(seed | 1),
@@ -301,7 +324,13 @@ impl EulerForest {
 
     /// Number of vertices in the forest.
     pub fn num_vertices(&self) -> usize {
-        self.versions.len()
+        self.n
+    }
+
+    /// Whether this forest was built by [`EulerForest::writer_private`].
+    #[inline]
+    pub fn is_writer_private(&self) -> bool {
+        self.versions.len() != self.n
     }
 
     /// Number of spanning edges currently in the forest.
@@ -321,7 +350,7 @@ impl EulerForest {
     /// Number of *live* tour nodes: one per vertex plus two per spanning
     /// edge.
     pub fn live_node_count(&self) -> usize {
-        self.versions.len() + 2 * self.edge_nodes.len()
+        self.n + 2 * self.edge_nodes.len()
     }
 
     /// Number of retired tour nodes still waiting out an epoch grace period.
@@ -391,10 +420,13 @@ impl EulerForest {
     }
 
     /// Reads a root version by the representative's vertex id (the hint
-    /// validation path, which has no [`NodeRef`] in hand).
+    /// validation path, which has no [`NodeRef`] in hand). A writer-private
+    /// forest has no version words and reads 0.
     #[inline]
     fn version_of_vertex(&self, root: u32) -> u64 {
-        self.versions[root as usize].load(Ordering::Acquire)
+        self.versions
+            .get(root as usize)
+            .map_or(0, |word| word.load(Ordering::Acquire))
     }
 
     /// Sets the busy bit on representative `r`'s version (writer only,
@@ -408,8 +440,13 @@ impl EulerForest {
     /// Release (rather than Relaxed) additionally publishes the writer's
     /// earlier bookkeeping to readers whose validation load observes the
     /// new version word directly, sparing them a fence before the re-walk.
+    ///
+    /// A no-op on a writer-private forest, which has no readers to warn.
     #[inline]
     fn begin_busy(&self, r: NodeRef) {
+        if self.is_writer_private() {
+            return;
+        }
         let root = self.root_vertex(r);
         let version = self.versions[root as usize].fetch_add(1, Ordering::Release) + 1;
         debug_assert!(is_busy(version), "root {root} was already busy");
@@ -428,6 +465,9 @@ impl EulerForest {
     /// Hints installed from here on validate again.
     #[inline]
     fn end_busy(&self, r: NodeRef) {
+        if self.is_writer_private() {
+            return;
+        }
         let root = self.root_vertex(r);
         let prev = self.versions[root as usize].fetch_add(1, Ordering::Release);
         debug_assert!(is_busy(prev), "root {root} was not busy");
@@ -444,7 +484,7 @@ impl EulerForest {
     pub fn root_lock(&self, r: NodeRef) -> &RawRwLock {
         let locks = self
             .locks
-            .get_or_init(|| (0..self.versions.len()).map(|_| RawRwLock::new()).collect());
+            .get_or_init(|| (0..self.n).map(|_| RawRwLock::new()).collect());
         &locks[self.root_vertex(r) as usize]
     }
 
@@ -459,10 +499,7 @@ impl EulerForest {
     /// The permanent tour node of vertex `v`.
     #[inline]
     pub fn vertex_node_ref(&self, v: u32) -> NodeRef {
-        assert!(
-            (v as usize) < self.versions.len(),
-            "vertex {v} out of range"
-        );
+        assert!((v as usize) < self.n, "vertex {v} out of range");
         NodeRef(v)
     }
 
@@ -504,7 +541,7 @@ impl EulerForest {
     #[inline]
     fn hints(&self) -> &HintCache {
         self.hints.get_or_init(|| {
-            let cache = HintCache::new(self.versions.len());
+            let cache = HintCache::new(self.n);
             cache.set_enabled(!self.hints_off.load(Ordering::Relaxed));
             cache
         })
@@ -1028,7 +1065,11 @@ impl EulerForest {
     /// harmless, since correctness never depends on the flag — so callers
     /// wanting a deterministic state set it before publishing the forest
     /// to readers (what the benches do).
+    ///
+    /// A writer-private forest keeps its hints off: nothing would
+    /// invalidate them.
     pub fn set_read_hints(&self, enabled: bool) {
+        let enabled = enabled && !self.is_writer_private();
         self.hints_off.store(!enabled, Ordering::Relaxed);
         if let Some(hints) = self.hints.get() {
             hints.set_enabled(enabled);
@@ -1345,7 +1386,7 @@ impl EulerForest {
         // Per-vertex lists of half-edges: half-edge `2i` leaves `edges[i].0`
         // and `2i + 1` leaves `edges[i].1`; `head` starts each vertex's list
         // and `next` chains it.
-        let mut head = vec![END; self.versions.len()];
+        let mut head = vec![END; self.n];
         let mut next = vec![END; 2 * edges.len()];
         for (i, &(u, v)) in edges.iter().enumerate() {
             for (half, from) in [(2 * i, u), (2 * i + 1, v)] {
@@ -1359,7 +1400,7 @@ impl EulerForest {
         // arena lays them out in tour order.
         let mut nodes = reserved;
         nodes.resize(edges.len(), (NodeRef::NONE, NodeRef::NONE));
-        let mut visited = vec![false; self.versions.len()];
+        let mut visited = vec![false; self.n];
         let mut tour: Vec<NodeRef> = Vec::new();
         let mut spine: Vec<NodeRef> = Vec::new();
         // DFS frames: (vertex, edge it was entered by, next half-edge).
@@ -1806,7 +1847,7 @@ impl EulerForest {
     /// Validates every tree of the forest (writer-side, quiescent use only).
     pub fn validate(&self) {
         let mut seen_roots = std::collections::HashSet::new();
-        for v in 0..self.versions.len() as u32 {
+        for v in 0..self.n as u32 {
             let root = self.component_root(v);
             if seen_roots.insert(root) {
                 self.validate_tree(root);
@@ -2041,5 +2082,39 @@ mod tests {
             f.tally().get(Counter::HintInvalidations) > 0,
             "links and cuts on a queried forest invalidate its hints"
         );
+    }
+
+    /// A writer-private forest (an HDT level above 0) holds no version
+    /// words and bumps none, yet links, cuts, walks and validates like any
+    /// other forest, and its hints cannot be turned on.
+    #[test]
+    fn a_writer_private_forest_holds_no_version_words() {
+        let f = EulerForest::writer_private(8, 3, Arc::default());
+        assert!(f.is_writer_private());
+        assert!(f.versions.is_empty());
+        assert_eq!(f.num_vertices(), 8);
+        for v in 1..6 {
+            f.link(v - 1, v);
+        }
+        f.mark_path_upward(4, Mark::NonSpanning);
+        f.cut(2, 3);
+        let cut = f.prepare_cut(0, 1);
+        f.commit_cut(&cut);
+        f.validate();
+        assert_eq!(f.live_node_count(), 8 + 2 * 3);
+        assert!(f.connected(3, 5) && !f.connected(1, 3) && !f.connected(0, 1));
+        let mut seen = Vec::new();
+        f.visit_marked_vertices(f.component_root(3), Mark::NonSpanning, |v| {
+            seen.push(v);
+            ControlFlow::Continue(())
+        });
+        assert!(seen.contains(&4) && seen.iter().all(|v| (3..6).contains(v)));
+        for v in 0..8 {
+            assert_eq!(f.root_version(f.component_root(v)), 0, "vertex {v}");
+        }
+        f.set_read_hints(true);
+        assert!(f.connected(4, 5));
+        assert!(!f.read_hints_enabled() && !f.hints_materialized());
+        assert!(!EulerForest::with_seed(8, 3).is_writer_private());
     }
 }

@@ -106,6 +106,9 @@ metric_enum! {
         /// before its walk ended, and so fell back to promote + full scan
         /// (DESIGN.md §15).
         HdtSampleBudgetsSpent => "hdt_sample_budgets_spent",
+        /// Spanning and non-spanning edges moved up one level by a
+        /// replacement search's promotion step or full scan.
+        HdtPromotions => "hdt_promotions",
         /// Read resolutions answered from a validated root hint.
         HintHits => "hint_hits",
         /// Read resolutions that fell back to a parent-pointer climb.

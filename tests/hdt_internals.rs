@@ -4,14 +4,15 @@
 //! asserted after realistic operation batches.
 
 use dc_graph::generators;
+use dynconn::hdt::default_sampling_limit;
 use dynconn::Hdt;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-/// Loads `edges` into a fresh `Hdt` (single-writer, under the coarse lock
-/// path used by every blocking variant).
-fn load(n: usize, edges: &[(u32, u32)]) -> Hdt {
-    let hdt = Hdt::new(n);
+/// Loads `edges` into `hdt` (single-writer, under the coarse lock path
+/// used by every blocking variant).
+fn load(hdt: Hdt, edges: &[(u32, u32)]) -> Hdt {
     for &(u, v) in edges {
         hdt.with_components_locked(u, v, || {
             hdt.add_edge_locked(u, v);
@@ -69,30 +70,37 @@ fn assert_component_size_bounds(hdt: &Hdt) {
 fn level_structure_invariants_hold_after_random_churn() {
     let n = 96u32;
     let pool = random_edges(n, 250, 0x11);
-    let hdt = load(n as usize, &pool);
-    let mut rng = StdRng::seed_from_u64(0x22);
-    // Churn: remove and re-add random pool edges to force replacement
-    // searches and level promotions.
-    for _ in 0..600 {
-        let (u, v) = pool[rng.gen_range(0..pool.len())];
-        hdt.with_components_locked(u, v, || {
-            if rng.gen_bool(0.5) {
-                hdt.remove_edge_locked(u, v);
-            } else {
-                hdt.add_edge_locked(u, v);
-            }
-        });
+    // Eager promotion (budget 0) is what puts edges on upper levels here:
+    // the sample pass finds every replacement of this small graph.
+    for budget in [0, default_sampling_limit(n as usize)] {
+        let hdt = load(Hdt::with_sampling(n as usize, budget), &pool);
+        let mut rng = StdRng::seed_from_u64(0x22);
+        // Churn: remove and re-add random pool edges to force replacement
+        // searches and level promotions.
+        for _ in 0..600 {
+            let (u, v) = pool[rng.gen_range(0..pool.len())];
+            hdt.with_components_locked(u, v, || {
+                if rng.gen_bool(0.5) {
+                    hdt.remove_edge_locked(u, v);
+                } else {
+                    hdt.add_edge_locked(u, v);
+                }
+            });
+        }
+        if budget == 0 {
+            assert!(hdt.stats().promotions > 0 && hdt.materialized_forest_levels() > 1);
+        }
+        hdt.validate();
+        assert_nested_forests(&hdt, &pool);
+        assert_component_size_bounds(&hdt);
     }
-    hdt.validate();
-    assert_nested_forests(&hdt, &pool);
-    assert_component_size_bounds(&hdt);
 }
 
 #[test]
 fn locked_and_lock_free_reads_agree_when_quiescent() {
     let n = 80u32;
     let pool = random_edges(n, 160, 0x33);
-    let hdt = load(n as usize, &pool);
+    let hdt = load(Hdt::new(n as usize), &pool);
     for u in 0..n {
         for step in 1..4 {
             let v = (u + step * 17) % n;
@@ -195,12 +203,13 @@ fn component_size_matches_reachable_set() {
 #[test]
 fn sampling_heuristic_does_not_change_answers() {
     // The sampling fast path (Section 5.2, "Sampling") is a performance
-    // heuristic only: at every budget, from off (0) through one that
-    // outlasts most smaller sides (64), connectivity answers must match,
-    // and the structure must stay valid throughout, not just at the end.
+    // heuristic only: at every budget, from off (0) through the default
+    // k(n) to one that outlasts most smaller sides (64), connectivity
+    // answers must match, and the structure must stay valid throughout,
+    // not just at the end.
     let n = 64u32;
     let pool = random_edges(n, 180, 0x77);
-    let budgets = [0, 1, 4, 16, 64];
+    let budgets = [0, 1, 4, 16, default_sampling_limit(n as usize), 64];
     let hdts: Vec<Hdt> = budgets
         .iter()
         .map(|&budget| Hdt::with_sampling(n as usize, budget))
@@ -236,11 +245,75 @@ fn sampling_heuristic_does_not_change_answers() {
     }
 }
 
+/// A road-churn-shaped history: a 96×96 grid, 70% of its edges preloaded,
+/// then 20k updates that remove a random present edge or add back a random
+/// absent one. The default budget must answer like budget 16 and like
+/// eager promotion, stay valid, and spend no more budgets, promote no more
+/// edges and build no more levels than budget 16.
+#[test]
+fn the_default_budget_promotes_no_more_than_sixteen_on_grid_churn() {
+    let side = 96u32;
+    let n = (side * side) as usize;
+    let grid: Vec<(u32, u32)> = generators::grid(side as usize, side as usize)
+        .edges()
+        .iter()
+        .map(|e| e.endpoints())
+        .collect();
+    let mut rng = StdRng::seed_from_u64(0x96);
+    let mut order: Vec<usize> = (0..grid.len()).collect();
+    order.shuffle(&mut rng);
+    let mut absent = order.split_off(grid.len() * 7 / 10);
+    let mut present = order;
+    let preload: Vec<(u32, u32)> = present.iter().map(|&i| grid[i]).collect();
+    let [default, sixteen, eager] = [
+        Hdt::new(n),
+        Hdt::with_sampling(n, 16),
+        Hdt::with_sampling(n, 0),
+    ]
+    .map(|hdt| load(hdt, &preload));
+    let hdts = [&default, &sixteen, &eager];
+    for step in 1..=20_000 {
+        let adding = rng.gen_bool(0.5);
+        let (from, to) = if adding {
+            (&mut absent, &mut present)
+        } else {
+            (&mut present, &mut absent)
+        };
+        let edge = from.swap_remove(rng.gen_range(0..from.len()));
+        to.push(edge);
+        let (u, v) = grid[edge];
+        for hdt in hdts {
+            hdt.with_components_locked(u, v, || {
+                if adding {
+                    assert!(hdt.add_edge_locked(u, v));
+                } else {
+                    assert!(hdt.remove_edge_locked(u, v));
+                }
+            });
+        }
+        let (a, b) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+        let expected = eager.connected(a, b);
+        assert_eq!(default.connected(a, b), expected, "step {step}: ({a}, {b})");
+        assert_eq!(sixteen.connected(a, b), expected, "step {step}: ({a}, {b})");
+    }
+    for hdt in hdts {
+        hdt.validate();
+    }
+    let (ours, theirs) = (default.stats(), sixteen.stats());
+    assert!(
+        theirs.sample_budgets_spent > 0,
+        "budget 16 must run out here"
+    );
+    assert!(ours.sample_budgets_spent <= theirs.sample_budgets_spent);
+    assert!(ours.promotions <= theirs.promotions);
+    assert!(default.materialized_forest_levels() <= sixteen.materialized_forest_levels());
+}
+
 #[test]
 fn stats_snapshot_rates_are_well_formed() {
     let n = 50u32;
     let pool = random_edges(n, 300, 0x99);
-    let hdt = load(n as usize, &pool);
+    let hdt = load(Hdt::new(n as usize), &pool);
     let mut rng = StdRng::seed_from_u64(0xAA);
     for _ in 0..300 {
         let (u, v) = pool[rng.gen_range(0..pool.len())];
