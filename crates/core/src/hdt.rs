@@ -53,8 +53,9 @@
 //!   added/removed edges may or may not appear, and the published-removal
 //!   handshake in [`crate::nonblocking`] covers the added-but-missed case.
 //! * **Synchronization.** Slot operations serialize on striped spinlocks
-//!   inside the stores; visitor callbacks run with the stripe released.  The
-//!   single-writer discipline above still governs which thread may perform
+//!   inside the stores; the replacement search's visitor callbacks run
+//!   with the stripe released (only the checkpoint export's quiescent walk
+//!   holds every stripe while it reads).  The single-writer discipline above still governs which thread may perform
 //!   structural mutations — the stores only make the *individual slot
 //!   operations* atomic (which is what the lock-free non-spanning protocol
 //!   needs for its `add_nonspanning_info` / `remove_nonspanning_info`
@@ -71,7 +72,7 @@
 //! count how often that happens and what it moves.
 
 use crate::baseline::UnionFind;
-use crate::state::{EdgeState, RemovalOp, Status};
+use crate::state::{splitmix64, EdgeState, RemovalOp, Status};
 use dc_ett::{EulerForest, Mark, NodeRef};
 use dc_graph::Edge;
 use dc_obs::{Counter, Tally};
@@ -235,6 +236,29 @@ pub struct LockedComponents {
     roots: [NodeRef; 2],
     count: usize,
     shared: bool,
+}
+
+/// An order-independent fingerprint of a set of edges: its size and the
+/// wrapping sum of a SplitMix64-mixed key per edge. The checkpoint export
+/// compares the state map's edges with the forests and the adjacency store
+/// this way, without a lookup per edge.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct EdgeSetFingerprint {
+    edges: usize,
+    key_sum: u64,
+}
+
+impl EdgeSetFingerprint {
+    fn add(&mut self, edge: Edge) {
+        let key = (edge.u() as u64) << 32 | edge.v() as u64;
+        self.edges += 1;
+        self.key_sum = self.key_sum.wrapping_add(splitmix64(key));
+    }
+
+    fn merge(&mut self, other: Self) {
+        self.edges += other.edges;
+        self.key_sum = self.key_sum.wrapping_add(other.key_sum);
+    }
 }
 
 /// The HDT dynamic connectivity core; see the module documentation.
@@ -749,18 +773,26 @@ impl Hdt {
     /// Exports the complete logical edge state for checkpoint serialization:
     /// calls `spanning(u, v, level)` once per spanning edge at its exact
     /// level and `nonspanning(u, v, level)` once per non-spanning edge at
-    /// its level.
+    /// its level, in the state map's (hash) order.
     ///
-    /// Spanning edges are walked out of the per-level ETT edge-node
-    /// registries top-down. A level-`l` spanning edge is linked into
-    /// forests `0..=l`, so each occurrence must be a spanning edge of at
-    /// least that forest's level, and the edge is emitted from the forest
-    /// that matches its level. Non-spanning edges are walked out of the
-    /// non-tree adjacency store's materialized pages; each edge sits in
-    /// both endpoints' slots and only the copy at the smaller endpoint is
-    /// emitted. Both walks are cross-checked entry-by-entry (and in total)
-    /// against the edge-state map, so an internally inconsistent structure
-    /// panics here instead of producing a corrupt checkpoint.
+    /// The export is one pass over the edge-state map: status and level come
+    /// from each edge's state word, and no per-edge lookup is made anywhere.
+    /// Any status other than spanning or non-spanning — an insertion in
+    /// flight — panics. The pass also fingerprints each class per level (a
+    /// count and a wrapping sum of a mixed edge key), and two sequential
+    /// walks are checked against those fingerprints:
+    ///
+    /// * every level-`l` forest's tree edges must be the spanning edges of
+    ///   level `l` or higher (this also pins the size of every upper
+    ///   forest);
+    /// * at every level, both halves of the non-tree adjacency (the entry
+    ///   at the smaller endpoint and the one at the larger) must be that
+    ///   level's non-spanning edges.
+    ///
+    /// A disagreement panics after the callbacks have run but before this
+    /// returns, so a caller that encodes only after the export returns
+    /// never writes a checkpoint of an inconsistent structure. Only a 64-bit
+    /// sum collision can hide a disagreement.
     ///
     /// Same synchronization contract as [`Hdt::add_edge_locked`]: the
     /// structure must be write-quiescent (concurrent lock-free readers are
@@ -770,57 +802,55 @@ impl Hdt {
         mut spanning: impl FnMut(u32, u32, u8),
         mut nonspanning: impl FnMut(u32, u32, u8),
     ) {
-        let mut spanning_count = 0usize;
-        for lvl in (0..self.levels.len()).rev() {
-            let Some(forest) = self.levels[lvl].get() else {
-                continue;
-            };
-            // A level-`l` spanning edge sits in forests `0..=l`: emit it
-            // from the one that matches its level.
-            forest.for_each_tree_edge(|u, v| {
-                let edge = Edge::new(u, v);
-                let state = self.states.get(&edge);
-                let level = match &state {
-                    Some(st) if st.status() == Status::Spanning && st.level() as usize >= lvl => {
-                        st.level() as usize
-                    }
-                    _ => panic!(
-                        "checkpoint export: forest {lvl} holds {edge:?} but the state map \
-                         says {state:?}"
-                    ),
-                };
-                if level == lvl {
-                    spanning(edge.u(), edge.v(), lvl as u8);
-                    spanning_count += 1;
+        let levels = self.levels.len();
+        let mut tree = vec![EdgeSetFingerprint::default(); levels];
+        let mut nontree = vec![EdgeSetFingerprint::default(); levels];
+        self.states.for_each(|&edge, &state| {
+            let level = state.level();
+            match state.status() {
+                Status::Spanning => {
+                    spanning(edge.u(), edge.v(), level);
+                    tree[level as usize].add(edge);
                 }
-            });
-        }
-        assert_eq!(
-            spanning_count,
-            self.forest(0).num_tree_edges(),
-            "checkpoint export: spanning walk disagrees with the level-0 forest"
-        );
-        let mut nonspanning_count = 0usize;
-        self.nontree_adj.for_each_entry(|level, vertex, nbr| {
-            if vertex > nbr {
-                return;
+                Status::NonSpanning => {
+                    nonspanning(edge.u(), edge.v(), level);
+                    nontree[level as usize].add(edge);
+                }
+                status => {
+                    panic!("checkpoint export: {edge:?} is {status:?} at a quiescent point")
+                }
             }
-            let edge = Edge::new(vertex, nbr);
-            let state = self.states.get(&edge);
-            assert!(
-                matches!(&state, Some(st) if st.status() == Status::NonSpanning
-                    && st.level() as usize == level),
-                "checkpoint export: adjacency level {level} holds {edge:?} but the \
-                 state map says {state:?}"
-            );
-            nonspanning(edge.u(), edge.v(), level as u8);
-            nonspanning_count += 1;
         });
-        assert_eq!(
-            spanning_count + nonspanning_count,
-            self.states.len(),
-            "checkpoint export: walks missed edges the state map holds"
-        );
+        // A level-`l` spanning edge sits in forests `0..=l`.
+        let mut at_or_above = EdgeSetFingerprint::default();
+        for lvl in (0..levels).rev() {
+            at_or_above.merge(tree[lvl]);
+            let mut held = EdgeSetFingerprint::default();
+            if let Some(forest) = self.levels[lvl].get() {
+                forest.for_each_tree_edge(|u, v| held.add(Edge::new(u, v)));
+            }
+            assert_eq!(
+                held, at_or_above,
+                "checkpoint export: forest {lvl} disagrees with the state map's spanning \
+                 edges of level {lvl} or higher"
+            );
+        }
+        let mut lower = vec![EdgeSetFingerprint::default(); levels];
+        let mut upper = vec![EdgeSetFingerprint::default(); levels];
+        self.nontree_adj.for_each_entry(|level, vertex, nbr| {
+            let half = if vertex < nbr { &mut lower } else { &mut upper };
+            half[level].add(Edge::new(vertex, nbr));
+        });
+        for lvl in 0..levels {
+            assert!(
+                lower[lvl] == nontree[lvl] && upper[lvl] == nontree[lvl],
+                "checkpoint export: non-tree adjacency level {lvl} holds {:?} / {:?} \
+                 (smaller / larger endpoint) but the state map says {:?}",
+                lower[lvl],
+                upper[lvl],
+                nontree[lvl]
+            );
+        }
     }
 
     // ----- bulk construction ---------------------------------------------------
@@ -1457,6 +1487,55 @@ mod tests {
             }
         }
         hdt.add_edge_locked(0, 4);
+    }
+
+    /// A triangle (spanning (0, 1) and (1, 2), non-spanning (0, 2)) and a
+    /// spanning edge (3, 4).
+    fn triangle_and_bridge() -> Hdt {
+        let hdt = Hdt::new(8);
+        for (u, v) in [(0, 1), (1, 2), (0, 2), (3, 4)] {
+            hdt.add_edge_locked(u, v);
+        }
+        hdt
+    }
+
+    #[test]
+    fn export_reports_each_edge_once_at_its_level() {
+        let hdt = triangle_and_bridge();
+        let (mut spanning, mut nonspanning) = (Vec::new(), Vec::new());
+        hdt.export_edges_locked(
+            |u, v, level| spanning.push((u, v, level)),
+            |u, v, level| nonspanning.push((u, v, level)),
+        );
+        spanning.sort_unstable();
+        assert_eq!(spanning, [(0, 1, 0), (1, 2, 0), (3, 4, 0)]);
+        assert_eq!(nonspanning, [(0, 2, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "forest 0 disagrees")]
+    fn export_rejects_a_spanning_state_no_forest_holds() {
+        let hdt = triangle_and_bridge();
+        hdt.states
+            .insert(Edge::new(5, 6), EdgeState::new(Status::Spanning, 0));
+        hdt.export_edges_locked(|_, _, _| {}, |_, _, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "non-tree adjacency level 0")]
+    fn export_rejects_a_nonspanning_state_off_its_adjacency_level() {
+        let hdt = triangle_and_bridge();
+        hdt.states
+            .insert(Edge::new(0, 2), EdgeState::new(Status::NonSpanning, 1));
+        hdt.export_edges_locked(|_, _, _| {}, |_, _, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "at a quiescent point")]
+    fn export_rejects_an_insertion_in_flight() {
+        let hdt = triangle_and_bridge();
+        hdt.states.insert(Edge::new(5, 6), EdgeState::initial());
+        hdt.export_edges_locked(|_, _, _| {}, |_, _, _| {});
     }
 
     #[test]

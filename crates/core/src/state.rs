@@ -48,11 +48,15 @@ fn fresh_tag() -> u64 {
     // SplitMix64 over a global counter: unique enough for ABA protection and
     // free of thread-local RNG setup cost on the hot path. The top 8 bits
     // are dropped to make room for status and level.
-    let x = TAG_COUNTER.fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed);
-    let mut z = x;
+    splitmix64(TAG_COUNTER.fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed)) >> TAG_SHIFT
+}
+
+/// The SplitMix64 finaliser: a bijective mix of one 64-bit word.
+#[inline]
+pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (z ^ (z >> 31)) >> TAG_SHIFT
+    z ^ (z >> 31)
 }
 
 impl EdgeState {

@@ -27,7 +27,6 @@
 //! that fails validation (torn, flipped bit) is *skipped*, not fatal — an
 //! older checkpoint plus more WAL replay reconstructs the same state.
 
-use crate::error::DurableError;
 use crate::fault::DurableFs;
 use dc_sync::wire::{self, Fnv64};
 use dynconn::Hdt;
@@ -54,21 +53,27 @@ pub(crate) fn parse_checkpoint_file_name(name: &str) -> Option<u64> {
 }
 
 /// Serializes the live structure into checkpoint bytes. Must run with the
-/// structure write-quiescent (the engine's leader lock held) — the walkers
-/// it uses are `_locked` operations.
+/// structure write-quiescent (the engine's leader lock held) — the export
+/// it uses is a `_locked` operation.
 pub(crate) fn encode_checkpoint(hdt: &Hdt, covered_seq: u64) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(64);
-    bytes.extend_from_slice(&CHECKPOINT_MAGIC);
-    bytes.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&covered_seq.to_le_bytes());
-    bytes.extend_from_slice(&(hdt.num_vertices() as u64).to_le_bytes());
-
-    let mut spanning: Vec<(u32, u32, u8)> = Vec::new();
-    let mut nonspanning: Vec<(u32, u32, u8)> = Vec::new();
+    let tree_edges = hdt.forest(0).num_tree_edges();
+    let mut spanning = Vec::with_capacity(tree_edges);
+    let mut nonspanning = Vec::with_capacity(hdt.num_edges().saturating_sub(tree_edges));
     hdt.export_edges_locked(
         |u, v, level| spanning.push((u, v, level)),
         |u, v, level| nonspanning.push((u, v, level)),
     );
+    // Header, two counts and checksum, plus per edge a level byte and two
+    // vertex-id varints, each no longer than the largest id's.
+    let vertices = hdt.num_vertices() as u64;
+    let id_len = wire::varint_encode(vertices.saturating_sub(1)).1;
+    let edges = spanning.len() + nonspanning.len();
+    let mut bytes =
+        Vec::with_capacity(22 + 2 * wire::MAX_VARINT_LEN + edges * (2 * id_len + 1) + 8);
+    bytes.extend_from_slice(&CHECKPOINT_MAGIC);
+    bytes.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&covered_seq.to_le_bytes());
+    bytes.extend_from_slice(&vertices.to_le_bytes());
     for class in [&spanning, &nonspanning] {
         wire::push_varint(&mut bytes, class.len() as u64);
         for &(u, v, level) in class.iter() {
@@ -177,8 +182,12 @@ pub(crate) fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointData, String> 
 /// Restores a decoded checkpoint into a fresh structure with the bulk
 /// builder: every edge at its recorded level, each level's forest built
 /// once from the spanning edges of that level or higher (which form a
-/// forest, so the build never meets a cycle).
-pub(crate) fn restore_into(hdt: &Hdt, data: &CheckpointData) {
+/// forest, so the build never meets a cycle). Both lists are first sorted
+/// by `(u, v)` in place: the export writes them in hash order, and the
+/// builders run faster over edges in vertex order.
+pub(crate) fn restore_into(hdt: &Hdt, data: &mut CheckpointData) {
+    data.spanning.sort_unstable_by_key(|&(u, v, _)| (u, v));
+    data.nonspanning.sort_unstable_by_key(|&(u, v, _)| (u, v));
     hdt.bulk_build_levels(&data.spanning, &data.nonspanning);
 }
 
@@ -201,13 +210,6 @@ pub(crate) fn list_checkpoints(dir: &Path) -> io::Result<(Vec<(u64, PathBuf)>, u
     Ok((checkpoints, tmp_ignored))
 }
 
-/// Maps a skippable checkpoint-decode failure into the fatal form, for
-/// callers that need a hard error instead of fallback.
-#[allow(dead_code)]
-pub(crate) fn fatal(path: &Path, detail: String) -> DurableError {
-    DurableError::Malformed(format!("checkpoint {}: {detail}", path.display()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,25 +228,40 @@ mod tests {
         assert_eq!(parse_checkpoint_file_name("wal-00000001.dcw"), None);
     }
 
+    /// Every decoded edge as `(u, v, spanning, level)`, sorted.
+    fn edge_set(data: &CheckpointData) -> Vec<(u32, u32, bool, u8)> {
+        let spanning = data.spanning.iter().map(|&(u, v, l)| (u, v, true, l));
+        let nonspanning = data.nonspanning.iter().map(|&(u, v, l)| (u, v, false, l));
+        let mut all: Vec<_> = spanning.chain(nonspanning).collect();
+        all.sort_unstable();
+        all
+    }
+
     #[test]
     fn encode_decode_round_trip_on_a_live_structure() {
-        let hdt = Hdt::new(16);
+        // Sampling off: the failed replacement searches below promote.
+        let hdt = Hdt::with_sampling(16, 0);
         for (u, v) in [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6)] {
             hdt.add_edge_locked(u, v);
         }
-        // Force some level promotions so levels are non-trivial.
         for _ in 0..3 {
             hdt.remove_edge_locked(1, 2);
             hdt.add_edge_locked(1, 2);
         }
         let bytes = encode_checkpoint(&hdt, 42);
-        let data = decode_checkpoint(&bytes).unwrap();
+        let mut data = decode_checkpoint(&bytes).unwrap();
         assert_eq!(data.covered_seq, 42);
         assert_eq!(data.vertices, 16);
         assert_eq!(data.spanning.len() + data.nonspanning.len(), 7);
+        let edges = edge_set(&data);
+        assert!(
+            edges.iter().any(|e| e.3 >= 1),
+            "no edge was promoted: {edges:?}"
+        );
 
         let restored = Hdt::new(16);
-        restore_into(&restored, &data);
+        restore_into(&restored, &mut data);
+        restored.validate();
         for u in 0..16u32 {
             for v in (u + 1)..16 {
                 assert_eq!(
@@ -254,8 +271,55 @@ mod tests {
                 );
             }
         }
-        // The restored structure serializes to the identical checkpoint.
-        assert_eq!(encode_checkpoint(&restored, 42), bytes);
+        let again = decode_checkpoint(&encode_checkpoint(&restored, 42)).unwrap();
+        assert_eq!(edge_set(&again), edges);
+    }
+
+    /// The restore fixed point is a set: a restored structure exports the
+    /// same `(edge, class, level)` set it was built from, though in an
+    /// order of its own. Churn with sampling off climbs a few levels.
+    #[test]
+    fn a_restored_multi_level_structure_exports_the_same_edge_set() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const N: u32 = 4096;
+        const COMMUNITY: u32 = 16;
+        let mut rng = StdRng::seed_from_u64(9);
+        let live = Hdt::with_sampling(N as usize, 0);
+        for base in (0..N).step_by(COMMUNITY as usize) {
+            for u in base..base + COMMUNITY {
+                for v in u + 1..base + COMMUNITY {
+                    if rng.gen_range(0..2) == 0 {
+                        live.add_edge_locked(u, v);
+                    }
+                }
+            }
+        }
+        let mut updates = 0;
+        while live.materialized_forest_levels() < 3 {
+            let base = rng.gen_range(0..N / COMMUNITY) * COMMUNITY;
+            let (u, v) = (
+                base + rng.gen_range(0..COMMUNITY),
+                base + rng.gen_range(0..COMMUNITY),
+            );
+            if !live.remove_edge_locked(u, v) {
+                live.add_edge_locked(u, v);
+            }
+            updates += 1;
+            assert!(updates < 200_000, "churn never reached level 2");
+        }
+
+        let mut first = decode_checkpoint(&encode_checkpoint(&live, 7)).unwrap();
+        let edges = edge_set(&first);
+        assert!(
+            edges.iter().any(|e| e.2 && e.3 >= 2),
+            "no spanning edge at level 2"
+        );
+        let restored = Hdt::new(N as usize);
+        restore_into(&restored, &mut first);
+        restored.validate();
+        let second = decode_checkpoint(&encode_checkpoint(&restored, 7)).unwrap();
+        assert_eq!(edge_set(&second), edges);
     }
 
     #[test]

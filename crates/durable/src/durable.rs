@@ -421,7 +421,7 @@ impl DurableConnectivity {
         // 3. Rebuild: checkpoint state first, then the tail, in order.
         let hdt = Hdt::new(vertices as usize);
         let covered = loaded.as_ref().map(|c| c.covered_seq).unwrap_or(0);
-        if let Some(data) = &loaded {
+        if let Some(data) = &mut loaded {
             checkpoint::restore_into(&hdt, data);
             report.checkpoint_seq = data.covered_seq;
             dc_obs::event(dc_obs::EventKind::RecoveryStep, 0, data.covered_seq);

@@ -55,9 +55,10 @@
 //!
 //! `for_each_edge` and `pop` run their callbacks / return **without** the
 //! stripe held, so callbacks may call back into this store (including the
-//! very slot being iterated).  [`AdjacencyStore::retain`] is the one
-//! exception: its predicate runs under the stripe lock and therefore must
-//! not touch *this* store (other structures are fine).
+//! very slot being iterated).  [`AdjacencyStore::retain`] and the
+//! quiescent walker [`AdjacencyStore::for_each_entry`] are the exceptions:
+//! their callbacks run under the stripe lock and therefore must not touch
+//! *this* store (other structures are fine).
 
 use crate::hash::fx_hash_u64;
 use crate::spinlock::RawSpinLock;
@@ -530,17 +531,21 @@ impl Slot {
         (copied, i, i >= cap)
     }
 
-    /// Appends every distinct neighbor to `out`.
-    fn copy_all(&self, out: &mut Vec<u32>) {
-        let mut buf = [0u32; CHUNK];
-        let mut at = 0;
-        loop {
-            let (copied, next, exhausted) = self.fill_chunk(at, &mut buf);
-            out.extend_from_slice(&buf[..copied]);
-            if exhausted {
-                return;
+    /// Calls `f` once per distinct neighbor, in entry order.
+    fn for_each_distinct(&self, mut f: impl FnMut(u32)) {
+        let Some(table) = self.table() else {
+            let inline = self.inline();
+            for (i, &x) in inline.iter().enumerate() {
+                if !inline[..i].contains(&x) {
+                    f(x);
+                }
             }
-            at = next;
+            return;
+        };
+        let mut at = 0;
+        while let Some(i) = table.next_live(at) {
+            f(table.cells[i].nbr);
+            at = i + 1;
         }
     }
 }
@@ -851,7 +856,7 @@ impl AdjacencyStore {
                         // finishes. Fall back to one locked full copy — the
                         // only situation in which this visitor allocates.
                         let mut all = Vec::with_capacity(slot.distinct_len());
-                        slot.copy_all(&mut all);
+                        slot.for_each_distinct(|nbr| all.push(nbr));
                         lock.unlock();
                         for nbr in all {
                             f(nbr)?;
@@ -875,31 +880,41 @@ impl AdjacencyStore {
     }
 
     /// Visits every distinct neighbor of every materialized slot as
-    /// `(level, vertex, nbr)` — the checkpoint serialization walker.
+    /// `(level, vertex, nbr)` — the checkpoint export's walker.
     ///
-    /// Pages are walked in flat-index order; each slot is copied out under
-    /// its stripe lock and `f` runs with the lock released. The walk is a
-    /// *consistent snapshot only when the store is quiescent* (single-writer
-    /// discipline: the caller holds whatever synchronization stops
-    /// structural mutation — for the durable checkpoint path, the batch
-    /// engine's leader lock). Under concurrent mutation it degrades to the
-    /// same best-effort guarantees as [`AdjacencyStore::for_each_edge`],
-    /// which is not good enough to serialize from.
+    /// The walk takes every stripe lock once, in index order, holds them
+    /// all while it reads the pages in flat-index order, and runs `f` on
+    /// each slot's neighbors in place: nothing is copied and no lock is
+    /// taken per slot. So the walk reads one atomic snapshot of the store,
+    /// and slot operations on other threads wait until it ends. No slot
+    /// operation waits for anything while it holds its stripe, so the
+    /// ordered acquisition cannot deadlock with them. As with
+    /// [`AdjacencyStore::retain`], `f` must not touch *this* store.
+    ///
+    /// Meant for a caller that has already stopped structural mutation
+    /// (for the durable checkpoint path, the batch engine's leader lock):
+    /// the walk is linear in the materialized slots, and every slot
+    /// operation elsewhere stalls for that long.
     pub fn for_each_entry(&self, mut f: impl FnMut(usize, u32, u32)) {
-        let mut copies: Vec<u32> = Vec::new();
+        struct Held<'a>(&'a [RawSpinLock]);
+        impl Drop for Held<'_> {
+            fn drop(&mut self) {
+                self.0.iter().for_each(RawSpinLock::unlock);
+            }
+        }
+        self.stripes.iter().for_each(RawSpinLock::lock);
+        let _held = Held(&self.stripes);
         for (base, page, slots) in self.live_pages() {
-            for si in 0..slots {
-                let flat = base + si;
-                copies.clear();
-                let lock = self.stripe(flat);
-                lock.lock();
-                // SAFETY: the slot's stripe is held.
-                unsafe { &*page.slots[si].get() }.copy_all(&mut copies);
-                lock.unlock();
-                let (level, vertex) = (flat / self.n, (flat % self.n) as u32);
-                for &nbr in &copies {
-                    f(level, vertex, nbr);
+            for (si, cell) in page.slots[..slots].iter().enumerate() {
+                // SAFETY: every stripe is held until `_held` drops, and `f`
+                // does not reenter this store.
+                let slot = unsafe { &*cell.get() };
+                if slot.is_empty() {
+                    continue;
                 }
+                let flat = base + si;
+                let (level, vertex) = (flat / self.n, (flat % self.n) as u32);
+                slot.for_each_distinct(|nbr| f(level, vertex, nbr));
             }
         }
     }
@@ -1119,6 +1134,28 @@ mod tests {
         });
         assert_eq!(out, ControlFlow::Break(()));
         assert_eq!(visited, 5);
+    }
+
+    #[test]
+    fn for_each_entry_visits_each_distinct_neighbor_once() {
+        // Slot (0, 1) stays inline with a repeated neighbor; slot (2, 3)
+        // spills and then loses some neighbors to tombstones.
+        let store = AdjacencyStore::new(3, 70);
+        for nbr in [5, 9, 5] {
+            store.add(0, 1, nbr);
+        }
+        for nbr in 0..40 {
+            store.add(2, 3, nbr);
+        }
+        for nbr in 10..20 {
+            store.remove(2, 3, nbr);
+        }
+        let mut seen = Vec::new();
+        store.for_each_entry(|level, vertex, nbr| seen.push((level, vertex, nbr)));
+        seen.sort_unstable();
+        let mut expect = vec![(0, 1, 5), (0, 1, 9)];
+        expect.extend((0..10).chain(20..40).map(|nbr| (2, 3, nbr)));
+        assert_eq!(seen, expect);
     }
 
     #[test]

@@ -70,11 +70,16 @@ pub fn varint_encode(mut value: u64) -> ([u8; MAX_VARINT_LEN], usize) {
     }
 }
 
-/// Appends the LEB128 encoding of `value` to `buf`.
+/// Appends the LEB128 encoding of `value` to `buf`, a byte at a time: a
+/// checkpoint pushes two varints per edge, and a variable-length copy out of
+/// [`varint_encode`]'s buffer cost it twice as much.
 #[inline]
-pub fn push_varint(buf: &mut Vec<u8>, value: u64) {
-    let (bytes, len) = varint_encode(value);
-    buf.extend_from_slice(&bytes[..len]);
+pub fn push_varint(buf: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        buf.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    buf.push(value as u8);
 }
 
 /// Decodes one LEB128 varint by pulling bytes from `next`.
@@ -142,6 +147,8 @@ mod tests {
         for &v in &values {
             let mut buf = Vec::new();
             push_varint(&mut buf, v);
+            let (bytes, len) = varint_encode(v);
+            assert_eq!(buf, bytes[..len], "the two encoders disagree on {v}");
             // Streaming decoder.
             let mut it = buf.iter().copied();
             let decoded = varint_decode(|| {
