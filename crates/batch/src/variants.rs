@@ -6,25 +6,26 @@
 //! | # | Paper name | Construction |
 //! |---|------------|--------------|
 //! | 1 | coarse-grained | [`LockedVariant`]`<GlobalLocking>`, locked reads |
-//! | 2 | coarse-grained RW lock | [`CoarseRwVariant`] |
+//! | 2 | coarse-grained RW lock | [`LockedVariant`]`<GlobalRwLocking>`, locked reads |
 //! | 3 | coarse-grained + non-blocking reads | [`LockedVariant`]`<GlobalLocking>`, lock-free reads |
 //! | 4 | coarse-grained + HTM | [`LockedVariant`]`<ElisionLocking>`, locked reads |
 //! | 5 | coarse-grained + HTM + non-blocking reads | [`LockedVariant`]`<ElisionLocking>`, lock-free reads |
 //! | 6 | fine-grained | [`LockedVariant`]`<FineLocking>`, locked reads |
-//! | 7 | fine-grained RW locks | [`FineRwVariant`] |
+//! | 7 | fine-grained RW locks | [`LockedVariant`]`<FineRwLocking>`, locked reads |
 //! | 8 | fine-grained + non-blocking reads | [`LockedVariant`]`<FineLocking>`, lock-free reads |
 //! | 9 | our algorithm (fine-grained + non-blocking reads + non-blocking non-spanning updates) | [`NonBlockingVariant`]`<FineLocking>` |
 //! | 10 | our algorithm + coarse-grained | [`NonBlockingVariant`]`<GlobalLocking>` |
 //! | 11 | our algorithm + coarse-grained + HTM | [`NonBlockingVariant`]`<ElisionLocking>` |
-//! | 12 | parallel combining | [`CombiningVariant`] (parallel reads) |
-//! | 13 | non-blocking reads + flat combining | [`CombiningVariant`] (flat combining, lock-free reads) |
+//! | 12 | parallel combining | [`CombiningVariant`], queries handed back to their threads |
+//! | 13 | non-blocking reads + flat combining | [`CombiningVariant`], lock-free reads |
 //! | 14 | batch engine (beyond the paper) | [`BatchEngine`](crate::BatchEngine) |
 
-use dc_sync::CombiningMode;
 use dynconn::combining::CombiningVariant;
-use dynconn::locking::{ElisionLocking, FineLocking, GlobalLocking};
+use dynconn::locking::{
+    ElisionLocking, FineLocking, FineRwLocking, GlobalLocking, GlobalRwLocking,
+};
 use dynconn::nonblocking::NonBlockingVariant;
-use dynconn::variants::{CoarseRwVariant, FineRwVariant, LockedVariant};
+use dynconn::variants::LockedVariant;
 use dynconn::DynamicConnectivity;
 
 /// Identifies one of the thirteen algorithm combinations of the paper's
@@ -164,26 +165,20 @@ impl Variant {
         use Variant::*;
         match self {
             CoarseGrained => Box::new(LockedVariant::new(n, GlobalLocking::new(), false)),
-            CoarseRwLock => Box::new(CoarseRwVariant::new(n)),
+            CoarseRwLock => Box::new(LockedVariant::new(n, GlobalRwLocking::new(), false)),
             CoarseNonBlockingReads => Box::new(LockedVariant::new(n, GlobalLocking::new(), true)),
             CoarseHtm => Box::new(LockedVariant::new(n, ElisionLocking::new(), false)),
             CoarseHtmNonBlockingReads => {
                 Box::new(LockedVariant::new(n, ElisionLocking::new(), true))
             }
             FineGrained => Box::new(LockedVariant::new(n, FineLocking::new(), false)),
-            FineRwLocks => Box::new(FineRwVariant::new(n)),
+            FineRwLocks => Box::new(LockedVariant::new(n, FineRwLocking::new(), false)),
             FineNonBlockingReads => Box::new(LockedVariant::new(n, FineLocking::new(), true)),
             OurAlgorithm => Box::new(NonBlockingVariant::new(n, FineLocking::new())),
             OurAlgorithmCoarse => Box::new(NonBlockingVariant::new(n, GlobalLocking::new())),
             OurAlgorithmCoarseHtm => Box::new(NonBlockingVariant::new(n, ElisionLocking::new())),
-            ParallelCombining => Box::new(CombiningVariant::new(
-                n,
-                CombiningMode::ParallelReads,
-                false,
-            )),
-            FlatCombiningNonBlockingReads => {
-                Box::new(CombiningVariant::new(n, CombiningMode::FlatCombining, true))
-            }
+            ParallelCombining => Box::new(CombiningVariant::new(n, false)),
+            FlatCombiningNonBlockingReads => Box::new(CombiningVariant::new(n, true)),
             BatchEngine => Box::new(crate::BatchEngine::new(n)),
         }
     }

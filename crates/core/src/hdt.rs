@@ -20,9 +20,9 @@
 //! All structural methods require the caller to be the unique writer for the
 //! affected component(s) — a global lock (coarse-grained variants), the
 //! per-component locks of [`Hdt::lock_components`] (fine-grained variants),
-//! or the combining executor.  The only methods that are safe to call with
-//! no synchronization at all are [`Hdt::connected`] and the read-only
-//! accessors, plus the specific lock-free entry points used by the
+//! or the combiner of [`crate::combining`].  The only methods that are safe
+//! to call with no synchronization at all are [`Hdt::connected`] and the
+//! read-only accessors, plus the specific lock-free entry points used by the
 //! non-blocking variants in [`crate::nonblocking`].
 //!
 //! # Adjacency layout and memory model
@@ -500,8 +500,8 @@ impl Hdt {
         self.lock_components_inner(u, v, false)
     }
 
-    /// Shared-mode variant used by the fine-grained readers-writer algorithm
-    /// for queries.
+    /// Shared-mode variant used by the fine-grained readers-writer scheme
+    /// ([`crate::locking::FineRwLocking`]) for queries.
     pub fn lock_components_shared(&self, u: u32, v: u32) -> LockedComponents {
         self.lock_components_inner(u, v, true)
     }

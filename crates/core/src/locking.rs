@@ -4,8 +4,9 @@
 //! ownership of the component(s) it touches?*  The paper evaluates three
 //! answers — one global lock, one global lock with hardware lock elision,
 //! and fine-grained per-component locks (Listing 2) — and combines each with
-//! the read-side and non-spanning-edge optimizations.  Implementing the
-//! schemes behind one trait lets each combination be a thin wrapper.
+//! the read-side and non-spanning-edge optimizations, plus the two
+//! readers-writer schemes whose queries take a shared lock.  Implementing
+//! the schemes behind one trait lets each combination be a thin wrapper.
 
 use crate::hdt::Hdt;
 use dc_sync::{waitstats, ElisionLock, RawSpinLock};
@@ -15,6 +16,12 @@ pub trait UpdateLocking: Send + Sync {
     /// Runs `f` while holding whatever locks cover the components of `u` and
     /// `v`.
     fn with_locked<R>(&self, hdt: &Hdt, u: u32, v: u32, f: impl FnOnce() -> R) -> R;
+
+    /// Runs the read-only `f` under the locks a locked query takes: the
+    /// update locks by default, the shared side of a readers-writer scheme.
+    fn with_read_locked<R>(&self, hdt: &Hdt, u: u32, v: u32, f: impl FnOnce() -> R) -> R {
+        self.with_locked(hdt, u, v, f)
+    }
 }
 
 /// One global lock serializing all updates (coarse-grained locking).
@@ -43,7 +50,7 @@ impl UpdateLocking for GlobalLocking {
 /// variants; see `DESIGN.md` §4 for the substitution).
 #[derive(Default)]
 pub struct ElisionLocking {
-    lock: ElisionLock<()>,
+    lock: ElisionLock,
 }
 
 impl ElisionLocking {
@@ -86,8 +93,8 @@ impl UpdateLocking for FineLocking {
     }
 }
 
-/// A global readers-writer lock (coarse-grained RW variant); updates take the
-/// write side, queries the read side.
+/// A global readers-writer lock (variant 2); updates take the write side,
+/// locked queries the read side.
 #[derive(Default)]
 pub struct GlobalRwLocking {
     lock: dc_sync::RawRwLock,
@@ -98,14 +105,6 @@ impl GlobalRwLocking {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Runs `f` under the shared (read) side of the lock.
-    pub fn with_read<R>(&self, f: impl FnOnce() -> R) -> R {
-        self.lock.read_lock();
-        let out = f();
-        self.lock.read_unlock();
-        out
-    }
 }
 
 impl UpdateLocking for GlobalRwLocking {
@@ -115,6 +114,39 @@ impl UpdateLocking for GlobalRwLocking {
         timer.finish();
         let out = f();
         self.lock.unlock();
+        out
+    }
+
+    fn with_read_locked<R>(&self, _hdt: &Hdt, _u: u32, _v: u32, f: impl FnOnce() -> R) -> R {
+        self.lock.read_lock();
+        let out = f();
+        self.lock.read_unlock();
+        out
+    }
+}
+
+/// Per-component readers-writer locks (variant 7): updates lock their
+/// components exclusively like [`FineLocking`], locked queries in shared
+/// mode.
+#[derive(Default)]
+pub struct FineRwLocking;
+
+impl FineRwLocking {
+    /// Creates the scheme.
+    pub fn new() -> Self {
+        FineRwLocking
+    }
+}
+
+impl UpdateLocking for FineRwLocking {
+    fn with_locked<R>(&self, hdt: &Hdt, u: u32, v: u32, f: impl FnOnce() -> R) -> R {
+        FineLocking.with_locked(hdt, u, v, f)
+    }
+
+    fn with_read_locked<R>(&self, hdt: &Hdt, u: u32, v: u32, f: impl FnOnce() -> R) -> R {
+        let locked = hdt.lock_components_shared(u, v);
+        let out = f();
+        hdt.unlock_components(locked);
         out
     }
 }
@@ -161,6 +193,51 @@ mod tests {
     #[test]
     fn fine_locking_serializes_same_component() {
         exercise(&FineLocking::new());
+    }
+
+    #[test]
+    fn fine_rw_locking_write_side_serializes_same_component() {
+        exercise(&FineRwLocking::new());
+    }
+
+    /// Two threads inside `with_read_locked` on the same component at once:
+    /// each waits (up to a deadline) for the other to arrive while holding
+    /// its read lock, which an exclusive read side would never allow.
+    fn read_side_is_shared<L: UpdateLocking>(scheme: &L) {
+        let hdt = Hdt::new(8);
+        hdt.add_edge_locked(0, 1);
+        let inside = AtomicU64::new(0);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let both: Vec<bool> = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        scheme.with_read_locked(&hdt, 0, 1, || {
+                            inside.fetch_add(1, Ordering::SeqCst);
+                            while inside.load(Ordering::SeqCst) < 2 {
+                                if std::time::Instant::now() > deadline {
+                                    return false;
+                                }
+                                std::thread::yield_now();
+                            }
+                            true
+                        })
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(both, [true, true], "readers excluded each other");
+    }
+
+    #[test]
+    fn rw_locking_read_side_is_shared() {
+        read_side_is_shared(&GlobalRwLocking::new());
+    }
+
+    #[test]
+    fn fine_rw_locking_read_side_is_shared() {
+        read_side_is_shared(&FineRwLocking::new());
     }
 
     #[test]

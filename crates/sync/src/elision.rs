@@ -15,46 +15,35 @@
 //!
 //! The paper's own conclusion is that HTM variants track their lock-based
 //! counterparts closely (identical for the full algorithm); this emulation
-//! preserves that relationship by construction, and `EXPERIMENTS.md` flags
-//! the small read-heavy-workload win that cannot materialise without real
-//! hardware speculation.
+//! preserves that relationship by construction (`DESIGN.md` §4.2), short
+//! of the small read-heavy-workload win that cannot materialise without
+//! real hardware speculation.
 
 use crate::waitstats;
 use parking_lot::{Mutex, MutexGuard};
 
+/// Optimistic attempts before falling back to blocking, roughly matching the
+/// retry budget of an RTM retry loop before it takes the fallback path.
+const ATTEMPTS: u32 = 16;
+
 /// A mutex with an optimistic, bounded spin fast path emulating speculative
-/// lock elision. See the module documentation.
-pub struct ElisionLock<T> {
-    inner: Mutex<T>,
-    /// How many optimistic attempts to make before falling back to blocking.
-    attempts: u32,
+/// lock elision. It guards no data: the caller's critical section is the
+/// guard's lifetime. See the module documentation.
+#[derive(Default)]
+pub struct ElisionLock {
+    inner: Mutex<()>,
 }
 
-impl<T> ElisionLock<T> {
-    /// Default number of optimistic attempts, roughly matching the retry
-    /// budget of an RTM retry loop before taking the fallback path.
-    pub const DEFAULT_ATTEMPTS: u32 = 16;
-
-    /// Creates a new lock around `value`.
-    pub fn new(value: T) -> Self {
-        ElisionLock {
-            inner: Mutex::new(value),
-            attempts: Self::DEFAULT_ATTEMPTS,
-        }
-    }
-
-    /// Creates a new lock with an explicit optimistic retry budget.
-    pub fn with_attempts(value: T, attempts: u32) -> Self {
-        ElisionLock {
-            inner: Mutex::new(value),
-            attempts: attempts.max(1),
-        }
+impl ElisionLock {
+    /// Creates an unlocked lock.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Acquires the lock, reporting blocking time to [`waitstats`].
-    pub fn lock(&self) -> MutexGuard<'_, T> {
+    pub fn lock(&self) -> MutexGuard<'_, ()> {
         // "Transactional" fast path: optimistic attempts without blocking.
-        for _ in 0..self.attempts {
+        for _ in 0..ATTEMPTS {
             if let Some(guard) = self.inner.try_lock() {
                 return guard;
             }
@@ -68,41 +57,28 @@ impl<T> ElisionLock<T> {
     }
 
     /// Attempts to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, ()>> {
         self.inner.try_lock()
-    }
-
-    /// Consumes the lock and returns the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner()
-    }
-}
-
-impl<T: Default> Default for ElisionLock<T> {
-    fn default() -> Self {
-        Self::new(T::default())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn single_thread_lock_unlock() {
-        let l = ElisionLock::new(5u32);
-        {
-            let mut g = l.lock();
-            *g += 1;
-        }
-        assert_eq!(*l.lock(), 6);
-        assert_eq!(l.into_inner(), 6);
+        let l = ElisionLock::new();
+        drop(l.lock());
+        // Released on drop: both acquisition paths succeed again.
+        drop(l.lock());
+        assert!(l.try_lock().is_some());
     }
 
     #[test]
     fn try_lock_fails_while_held() {
-        let l = ElisionLock::new(());
+        let l = ElisionLock::new();
         let g = l.lock();
         assert!(l.try_lock().is_none());
         drop(g);
@@ -111,17 +87,21 @@ mod tests {
 
     #[test]
     fn contended_increments_are_not_lost() {
-        let l = Arc::new(ElisionLock::with_attempts(0u64, 4));
+        // A split load/store increment loses updates unless the lock
+        // excludes the other threads for the guard's whole lifetime.
+        let l = ElisionLock::new();
+        let counter = AtomicU64::new(0);
         std::thread::scope(|s| {
             for _ in 0..4 {
-                let l = Arc::clone(&l);
-                s.spawn(move || {
+                s.spawn(|| {
                     for _ in 0..5_000 {
-                        *l.lock() += 1;
+                        let _guard = l.lock();
+                        let v = counter.load(Ordering::Relaxed);
+                        counter.store(v + 1, Ordering::Relaxed);
                     }
                 });
             }
         });
-        assert_eq!(*l.lock(), 20_000);
+        assert_eq!(counter.load(Ordering::Relaxed), 20_000);
     }
 }

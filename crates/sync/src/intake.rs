@@ -20,11 +20,11 @@
 //!     └───────────────────────────── poll ◄────────────────────────┘
 //! ```
 //!
-//! Unlike [`crate::combining::CombiningExecutor`], this module fixes no
-//! execution policy: batching, annihilation, leader election and result
-//! semantics all live in the caller. Slots are `#[repr(align(128))]` so two
-//! threads' publications never share a cache line (the combining executor's
-//! unpadded slots measurably false-share on adjacent indices).
+//! The array fixes no execution policy: batching, annihilation, leader
+//! election and result semantics all live in the caller (the batch engine
+//! and `dynconn::combining` are its two users). Slots are
+//! `#[repr(align(128))]` so two threads' publications never share a cache
+//! line.
 
 use parking_lot::Mutex;
 use std::cell::{RefCell, UnsafeCell};

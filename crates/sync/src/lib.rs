@@ -18,11 +18,10 @@
 //! * [`hash::FxHasher`] — the shared fast integer hasher.
 //! * [`prefetch`] — the software-prefetch portability shim behind the
 //!   interleaved bulk read path (`_mm_prefetch` on x86-64, no-op elsewhere).
-//! * [`combining`] — a generic flat-combining / parallel-combining executor
-//!   (variants 12 and 13 of the evaluation).
 //! * [`intake`] — the sharded MPSC intake array (padded per-thread slots
 //!   with a claim/complete protocol) underneath the `dc_batch` engine's
-//!   update door.
+//!   update door and the combining baselines (variants 12 and 13 of the
+//!   evaluation).
 //! * [`spinlock::RawSpinLock`] — a word-sized raw lock with explicit
 //!   `lock`/`unlock`, used for the per-component locks in the Euler Tour
 //!   Tree forest's per-vertex side table (fine-grained locking, Listing 2).
@@ -39,7 +38,6 @@
 
 pub mod adjacency;
 pub mod cmap;
-pub mod combining;
 pub mod elision;
 pub mod epoch;
 pub mod hash;
@@ -53,7 +51,6 @@ pub mod wire;
 
 pub use adjacency::AdjacencyStore;
 pub use cmap::ShardedMap;
-pub use combining::{CombiningExecutor, CombiningMode, CombiningTarget};
 pub use elision::ElisionLock;
 pub use epoch::{EpochDomain, EpochGuard, Limbo};
 pub use hash::{FxBuildHasher, FxHasher};

@@ -9,7 +9,7 @@
 //!
 //! * [`graph`] — graph types, synthetic generators and dataset loaders;
 //! * [`sync`] — the concurrency substrates (sharded map, flat adjacency
-//!   store, combining executor, raw locks, wait-time accounting);
+//!   store, intake array, raw locks, wait-time accounting);
 //! * [`ett`] — the single-writer, multi-reader concurrent Euler Tour Tree
 //!   forest (paper Section 3) under every level of the HDT structure;
 //! * [`dynconn`] — the HDT-based dynamic connectivity core and all thirteen

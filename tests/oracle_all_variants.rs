@@ -246,3 +246,49 @@ fn all_variants_handle_two_cliques_with_a_bridge() {
         assert!(dc.connected(1, 3), "{label}");
     }
 }
+
+#[test]
+fn combining_variants_outlive_their_slot_capacity_in_short_lived_threads() {
+    // 300 threads, one alive at a time, each publishing into the variant's
+    // intake (capacity 256 concurrent threads). An exited thread must give
+    // its slot back; a registry that never frees slots panics at thread 257.
+    const THREADS: u32 = 300;
+    let n = THREADS as usize + 1;
+    for variant in [
+        Variant::ParallelCombining,
+        Variant::FlatCombiningNonBlockingReads,
+    ] {
+        let label = variant.name();
+        let dc = variant.build(n);
+        let oracle = RecomputeOracle::new(n);
+        for t in 0..THREADS {
+            // Every seventh thread takes its edge out again, so the final
+            // graph has several components.
+            let (u, v) = (t, t + 1);
+            let keep = t % 7 != 6;
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    dc.add_edge(u, v);
+                    if !keep {
+                        dc.remove_edge(u, v);
+                    }
+                    if variant == Variant::ParallelCombining {
+                        assert_eq!(dc.connected(u, v), keep, "{label}: thread {t}");
+                    }
+                });
+            });
+            if keep {
+                oracle.add_edge(u, v);
+            }
+        }
+        for a in 0..n as u32 {
+            for b in [0, a / 2, a.saturating_sub(1), n as u32 - 1] {
+                assert_eq!(
+                    dc.connected(a, b),
+                    oracle.connected(a, b),
+                    "{label}: connected({a}, {b}) diverged from the oracle"
+                );
+            }
+        }
+    }
+}
